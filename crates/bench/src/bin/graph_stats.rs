@@ -4,25 +4,9 @@
 //! Usage: `cargo run --release -p velodrome-bench --bin graph_stats [--scale=8]`
 
 use velodrome_bench::arg_u64;
-use velodrome_bench::backend::{run_with_telemetry, Backend};
 use velodrome_bench::report;
-use velodrome_bench::table1::exclusion_spec;
-use velodrome_telemetry::{names, Snapshot, Telemetry};
-
-/// Runs one Velodrome variant and returns the final registry snapshot; the
-/// node-statistics columns are read back from the `arena.*` gauges rather
-/// than the stats struct.
-fn snapshot_run(
-    backend: Backend,
-    trace: &velodrome_events::Trace,
-    spec: velodrome_monitor::AtomicitySpec,
-) -> Snapshot {
-    let telemetry = Telemetry::registry();
-    run_with_telemetry(backend, trace, Some(spec), &telemetry);
-    telemetry
-        .snapshot(0, trace.len() as u64)
-        .expect("telemetry registry enabled")
-}
+use velodrome_bench::table1::{exclusion_spec, registry_run};
+use velodrome_telemetry::{names, Snapshot};
 
 fn main() {
     let scale = arg_u64("scale", 8) as u32;
@@ -31,8 +15,8 @@ fn main() {
     for w in velodrome_workloads::all(scale) {
         let trace = w.run_round_robin();
         let spec = exclusion_spec(&w, &trace);
-        let without = snapshot_run(Backend::VelodromeNoMerge, &trace, spec.clone());
-        let with = snapshot_run(Backend::Velodrome, &trace, spec);
+        let without = registry_run("velodrome-nomerge", &trace, &spec);
+        let with = registry_run("velodrome", &trace, &spec);
         let gauge = |snap: &Snapshot, name: &str| snap.scalar(name).unwrap_or(0);
         rows.push(vec![
             w.name.to_string(),

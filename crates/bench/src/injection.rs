@@ -3,10 +3,10 @@
 //! Velodrome run detects the resulting atomicity defect, with and without
 //! Atomizer-guided adversarial scheduling.
 
-use crate::backend::{run, Backend};
-use crate::report;
+use crate::{report, run_backend};
 use serde::Serialize;
 use std::collections::{HashMap, HashSet};
+use velodrome_cli::backend::Settings;
 use velodrome_events::Trace;
 use velodrome_sim::ir::Stmt;
 use velodrome_sim::{mutate, run_program, Program};
@@ -187,7 +187,7 @@ fn site_is_eligible(workload: &Workload, site: usize) -> bool {
 }
 
 fn velodrome_labels(trace: &Trace) -> HashSet<String> {
-    run(Backend::Velodrome, trace)
+    run_backend("velodrome", trace, &Settings::default())
         .warnings
         .into_iter()
         .filter_map(|w| w.label.map(|l| trace.names().label(l)))

@@ -1,8 +1,7 @@
 //! Benchmark and experiment harness regenerating the paper's evaluation.
 //!
-//! * [`backend`] — a uniform driver over the compared back-ends
-//!   (Empty, Eraser, HB race detection, Atomizer, Velodrome with and
-//!   without merge);
+//! * [`run_backend`] — runs any back-end of the CLI's registry
+//!   ([`velodrome_cli::backend::BACKENDS`]) by name;
 //! * [`table1`] — analysis overhead and node statistics (paper Table 1);
 //! * [`table2`] — warning counts and false-alarm classification against
 //!   ground truth (paper Table 2);
@@ -21,7 +20,6 @@
 //! JSON-serial pipeline against the VBT-parallel `check-batch` runner and
 //! emits `BENCH_batch.json`.
 
-pub mod backend;
 pub mod batch;
 pub mod chaos;
 pub mod hotpath;
@@ -29,6 +27,17 @@ pub mod injection;
 pub mod report;
 pub mod table1;
 pub mod table2;
+
+use velodrome_cli::backend::{lookup, Analysis, Settings};
+use velodrome_events::Trace;
+
+/// Runs the registered backend `name` over the trace. Panics on an
+/// unregistered name or a failed run; bench callers pass fixed names and
+/// settings without a metrics file, so neither happens.
+pub fn run_backend(name: &str, trace: &Trace, settings: &Settings) -> Analysis {
+    let backend = lookup(name).unwrap_or_else(|| panic!("no backend named `{name}`"));
+    (backend.run)(trace, settings).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
 
 /// Reads a `NAME=value` style `u64` argument from the process arguments
 /// (`--scale=4`), falling back to `default`.

@@ -7,12 +7,18 @@
 //! the paper's claim being relative ("competitive with Eraser and the
 //! Atomizer"), not absolute.
 
-use crate::backend::{run_with_spec, Backend};
-use crate::report;
+use crate::{report, run_backend};
 use serde::Serialize;
+use std::time::Instant;
+use velodrome_cli::backend::Settings;
 use velodrome_events::{Op, Trace};
 use velodrome_monitor::AtomicitySpec;
+use velodrome_telemetry::{names, Snapshot, Telemetry};
 use velodrome_workloads::Workload;
+
+/// The backends timed in the paper's Table 1, in column order. The first
+/// is the denominator of every overhead ratio.
+pub const TIMED: [&str; 4] = ["empty", "eraser", "atomizer", "velodrome"];
 
 /// One Table 1 row.
 #[derive(Debug, Serialize)]
@@ -53,6 +59,22 @@ pub fn exclusion_spec(workload: &Workload, trace: &Trace) -> AtomicitySpec {
     AtomicitySpec::excluding(excluded)
 }
 
+/// Runs backend `name` under `spec` against a fresh telemetry registry and
+/// returns the final snapshot: the node-statistics columns are read from
+/// its `arena.*` gauges. Untimed, since the registry costs time.
+pub fn registry_run(name: &str, trace: &Trace, spec: &AtomicitySpec) -> Snapshot {
+    let settings = Settings {
+        telemetry: Telemetry::registry(),
+        spec: Some(spec.clone()),
+        ..Settings::default()
+    };
+    run_backend(name, trace, &settings);
+    settings
+        .telemetry
+        .snapshot(0, trace.len() as u64)
+        .expect("telemetry registry enabled")
+}
+
 /// Runs the Table 1 measurement for one workload.
 ///
 /// `repeats` re-runs each timed backend and keeps the fastest measurement
@@ -60,30 +82,25 @@ pub fn exclusion_spec(workload: &Workload, trace: &Trace) -> AtomicitySpec {
 pub fn measure(workload: &Workload, repeats: u32) -> Table1Row {
     let trace = workload.run_round_robin();
     let spec = exclusion_spec(workload, &trace);
-
-    let mut ns_per_op = [0.0f64; 4];
-    for (i, backend) in Backend::TABLE1.iter().enumerate() {
-        let mut best = f64::INFINITY;
-        for _ in 0..repeats.max(1) {
-            let outcome = run_with_spec(*backend, &trace, Some(spec.clone()));
-            best = best.min(outcome.ns_per_op(trace.len()));
-        }
-        ns_per_op[i] = best;
-    }
+    let timed = Settings {
+        spec: Some(spec.clone()),
+        ..Settings::default()
+    };
+    let ns_per_op = TIMED.map(|name| {
+        (0..repeats.max(1))
+            .map(|_| {
+                let start = Instant::now();
+                run_backend(name, &trace, &timed);
+                start.elapsed().as_nanos() as f64 / trace.len().max(1) as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    });
     let empty = ns_per_op[0].max(1e-9);
-    let rel_overhead = [
-        1.0,
-        ns_per_op[1] / empty,
-        ns_per_op[2] / empty,
-        ns_per_op[3] / empty,
-    ];
+    let rel_overhead = ns_per_op.map(|ns| ns / empty);
 
-    let without = run_with_spec(Backend::VelodromeNoMerge, &trace, Some(spec.clone()))
-        .stats
-        .expect("velodrome stats");
-    let with = run_with_spec(Backend::Velodrome, &trace, Some(spec))
-        .stats
-        .expect("velodrome stats");
+    let without = registry_run("velodrome-nomerge", &trace, &spec);
+    let with = registry_run("velodrome", &trace, &spec);
+    let gauge = |snap: &Snapshot, name: &str| snap.scalar(name).unwrap_or(0);
 
     Table1Row {
         name: workload.name.to_string(),
@@ -91,10 +108,10 @@ pub fn measure(workload: &Workload, repeats: u32) -> Table1Row {
         events: trace.len(),
         ns_per_op,
         rel_overhead,
-        alloc_without_merge: without.nodes_allocated,
-        alive_without_merge: without.max_alive,
-        alloc_with_merge: with.nodes_allocated,
-        alive_with_merge: with.max_alive,
+        alloc_without_merge: gauge(&without, names::ARENA_ALLOCATED),
+        alive_without_merge: gauge(&without, names::ARENA_MAX_ALIVE),
+        alloc_with_merge: gauge(&with, names::ARENA_ALLOCATED),
+        alive_with_merge: gauge(&with, names::ARENA_MAX_ALIVE),
     }
 }
 

@@ -8,10 +8,10 @@
 //! method or a false alarm; "missed" counts Atomizer-confirmed real
 //! defects that Velodrome never observed.
 
-use crate::backend::{run, Backend};
-use crate::report;
+use crate::{report, run_backend};
 use serde::Serialize;
 use std::collections::HashSet;
+use velodrome_cli::backend::Settings;
 use velodrome_workloads::Workload;
 
 /// One Table 2 row, with the paper's numbers alongside.
@@ -45,12 +45,12 @@ pub fn measure(workload: &Workload, runs: u64) -> Table2Row {
     let mut velodrome_labels: HashSet<String> = HashSet::new();
     for seed in 0..runs {
         let trace = workload.run(seed);
-        for w in run(Backend::Atomizer, &trace).warnings {
+        for w in run_backend("atomizer", &trace, &Settings::default()).warnings {
             if let Some(l) = w.label {
                 atomizer_labels.insert(trace.names().label(l));
             }
         }
-        for w in run(Backend::Velodrome, &trace).warnings {
+        for w in run_backend("velodrome", &trace, &Settings::default()).warnings {
             if let Some(l) = w.label {
                 velodrome_labels.insert(trace.names().label(l));
             }

@@ -21,7 +21,8 @@
 //!   `quarantined`, the panic message preserved); unreadable or malformed
 //!   files fail that trace (status `error`); neither aborts the batch.
 
-use crate::{analyze_with, err, io_err, read_trace_file, CliError, Options, USAGE};
+use crate::backend::{self, Backend, Settings};
+use crate::{err, io_err, read_trace_file, CliError, Options, USAGE};
 use serde::value::{Map, Number, Value};
 use serde::Serialize as _;
 use std::collections::BTreeMap;
@@ -43,8 +44,8 @@ pub struct BatchConfig {
     /// Backend name, as `--backend` accepts.
     pub backend: String,
     /// Collect per-trace telemetry and merge it into one batch snapshot.
-    /// Requires a velodrome-family backend (the same restriction
-    /// `--metrics-out` imposes on single-trace runs).
+    /// Requires a metered backend (the same restriction `--metrics-out`
+    /// imposes on single-trace runs).
     pub collect_metrics: bool,
 }
 
@@ -212,26 +213,18 @@ impl BatchReport {
 /// The serial leg of the `batch` bench uses this to prove the parallel
 /// runner's verdicts byte-identical.
 pub fn check_trace(trace: &Trace, backend: &str) -> Result<(Vec<Warning>, Vec<String>), CliError> {
-    let opts = Options {
-        backend: backend.to_owned(),
-        scale: 1,
-        metrics_interval: 10_000,
-        jobs: 1,
-        ..Default::default()
-    };
-    let analysis = analyze_with(
-        trace,
-        &opts,
-        &WatchdogStats::default(),
-        &Telemetry::disabled(),
-    )?;
+    let analysis = (backend::select(backend, false)?.run)(trace, &Settings::default())?;
     Ok((analysis.warnings, analysis.notes))
 }
 
 /// Checks one trace file end to end: load (either format), analyze under a
 /// panic guard, snapshot the worker-private registry if metrics were
 /// requested.
-fn check_one(path: &Path, cfg: &BatchConfig) -> (TraceOutcome, Option<Snapshot>) {
+fn check_one(
+    path: &Path,
+    backend: &Backend,
+    cfg: &BatchConfig,
+) -> (TraceOutcome, Option<Snapshot>) {
     let start = std::time::Instant::now();
     let path_str = path.display().to_string();
     let fail = |status: TraceStatus, message: String, start: std::time::Instant| TraceOutcome {
@@ -247,33 +240,29 @@ fn check_one(path: &Path, cfg: &BatchConfig) -> (TraceOutcome, Option<Snapshot>)
         Ok(t) => t,
         Err(e) => return (fail(TraceStatus::Error, e.message, start), None),
     };
-    let telemetry = if cfg.collect_metrics {
-        Telemetry::registry()
-    } else {
-        Telemetry::disabled()
+    let settings = Settings {
+        telemetry: if cfg.collect_metrics {
+            Telemetry::registry()
+        } else {
+            Telemetry::disabled()
+        },
+        ..Settings::default()
     };
-    let opts = Options {
-        backend: cfg.backend.clone(),
-        scale: 1,
-        metrics_interval: 10_000,
-        jobs: 1,
-        ..Default::default()
-    };
-    let analysis = match velodrome_monitor::isolate::run_isolated(|| {
-        analyze_with(&trace, &opts, &WatchdogStats::default(), &telemetry)
-    }) {
-        Err(panic) => {
-            let msg = format!("analysis panicked: {panic}");
-            return (fail(TraceStatus::Quarantined, msg, start), None);
-        }
-        Ok(Err(e)) => return (fail(TraceStatus::Error, e.message, start), None),
-        Ok(Ok(analysis)) => analysis,
-    };
+    let telemetry = &settings.telemetry;
+    let analysis =
+        match velodrome_monitor::isolate::run_isolated(|| (backend.run)(&trace, &settings)) {
+            Err(panic) => {
+                let msg = format!("analysis panicked: {panic}");
+                return (fail(TraceStatus::Quarantined, msg, start), None);
+            }
+            Ok(Err(e)) => return (fail(TraceStatus::Error, e.message, start), None),
+            Ok(Ok(analysis)) => analysis,
+        };
     let snapshot = if cfg.collect_metrics {
         // Batch runs have no scheduler, but the single-trace snapshot
         // contract includes the watchdog gauges; publish explicit zeros so
         // `metrics-verify` holds for batch metrics too.
-        WatchdogStats::default().publish(&telemetry);
+        WatchdogStats::default().publish(telemetry);
         telemetry.snapshot(0, trace.len() as u64)
     } else {
         None
@@ -360,17 +349,7 @@ pub fn run_batch(cfg: &BatchConfig) -> Result<BatchReport, CliError> {
     if cfg.jobs == 0 {
         return Err(err("check-batch requires --jobs >= 1"));
     }
-    if cfg.collect_metrics
-        && !matches!(
-            cfg.backend.as_str(),
-            "velodrome" | "velodrome-nomerge" | "velodrome-hybrid" | "aerodrome" | "all"
-        )
-    {
-        return Err(err(format!(
-            "--metrics-out requires a velodrome or hybrid backend, not `{}`",
-            cfg.backend
-        )));
-    }
+    let backend = backend::select(&cfg.backend, cfg.collect_metrics)?;
     type Slot = Option<(TraceOutcome, Option<Snapshot>)>;
     let start = std::time::Instant::now();
     let n = cfg.paths.len();
@@ -383,7 +362,7 @@ pub fn run_batch(cfg: &BatchConfig) -> Result<BatchReport, CliError> {
                 if i >= n {
                     break;
                 }
-                let result = check_one(&cfg.paths[i], cfg);
+                let result = check_one(&cfg.paths[i], backend, cfg);
                 slots.lock().expect("batch results poisoned")[i] = Some(result);
             });
         }

@@ -16,17 +16,14 @@
 //! velodrome compare <workload|FILE> [--scale=N] [--seed=S]
 //! ```
 
+pub mod backend;
 pub mod batch;
 
+use backend::{Analysis, Metrics, Settings, BACKENDS};
 use std::fmt::Write as _;
-use velodrome::{HybridConfig, HybridVelodrome, Velodrome, VelodromeConfig};
-use velodrome_atomizer::Atomizer;
 use velodrome_events::{oracle, Trace, TraceStats};
-use velodrome_lockset::Eraser;
-use velodrome_monitor::{run_tool, EmptyTool, Tool, Warning};
 use velodrome_sim::{run_program, RandomScheduler, WatchdogStats};
-use velodrome_telemetry::{JsonlExporter, SnapshotRing, Telemetry};
-use velodrome_vclock::HbRaceDetector;
+use velodrome_telemetry::Telemetry;
 use velodrome_workloads::adversarial::adversarial_scheduler;
 
 /// What went wrong, determining the process exit code. Scripts (and
@@ -110,7 +107,6 @@ struct Options {
     out: Option<String>,
     dot: bool,
     adversarial: bool,
-    no_merge: bool,
     no_gc: bool,
     json: bool,
     max_alive: usize,
@@ -146,8 +142,6 @@ fn parse(args: &[String]) -> Result<Options, CliError> {
             o.dot = true;
         } else if a == "--adversarial" {
             o.adversarial = true;
-        } else if a == "--no-merge" {
-            o.no_merge = true;
         } else if a == "--no-gc" {
             o.no_gc = true;
         } else if a == "--json" {
@@ -204,41 +198,26 @@ pub const USAGE: &str = "usage:
   velodrome metrics-verify <FILE> [--require=NAME,NAME]
 trace files: JSON or binary VBT, sniffed by magic bytes; `convert`
   translates between the formats and every command accepts either
-backends: velodrome (default), velodrome-hybrid (vector-clock screen online,
-  graph engine on escalation; same warnings as velodrome), aerodrome
-  (linear-time vector-clock verdicts only), velodrome-nomerge, atomizer,
-  eraser, hb-race, fasttrack, s2pl, empty, all
-velodrome flags: --no-merge (naive Figure 2 rule), --no-gc,
-  --max-alive=N / --max-vars=N (resource budgets; tripping one degrades the
-  analysis down an explicit ladder instead of growing without bound)
+backends: velodrome (default), velodrome-nomerge (naive Figure 2 rule),
+  velodrome-hybrid (vector-clock screen online, graph engine on escalation;
+  same warnings as velodrome), aerodrome (linear-time vector-clock verdicts
+  only), atomizer, eraser, hb-race, s2pl, empty (instrumentation only), all
+  (velodrome + atomizer + eraser + hb-race); compare runs every backend
+  but all
+velodrome flags: --no-gc, --max-alive=N / --max-vars=N (resource budgets;
+  tripping one degrades the analysis down an explicit ladder instead of
+  growing without bound)
 hybrid flags: --window=N (bounded escalation-replay window; 0 = unbounded,
   the default, which keeps output byte-identical to velodrome)
 output flags: --dot (error graphs), --json (machine-readable warnings)
 metrics flags: --metrics-out=FILE (JSON Lines telemetry snapshots;
-  velodrome and hybrid backends), --metrics-interval=N (events per
+  velodrome-family backends and all), --metrics-interval=N (events per
   snapshot, default 10000; a final snapshot is always written)
 batch flags: --jobs=N (worker-pool size, default 4), --report=FILE (JSONL
   per-trace report to FILE, human summary to stdout; without it the JSONL
   goes to stdout); with --metrics-out, check-batch writes one merged
   snapshot carrying batch.* gauges
 exit codes: 0 ok, 2 usage error, 3 I/O error, 4 malformed input file";
-
-/// Backend names `--backend=` accepts. `velodrome-bench`'s `Backend::ALL`
-/// display names must all appear here (an integration test enforces it),
-/// so a backend added to the bench matrix cannot silently miss the CLI.
-pub const BACKENDS: &[&str] = &[
-    "velodrome",
-    "velodrome-nomerge",
-    "velodrome-hybrid",
-    "aerodrome",
-    "atomizer",
-    "eraser",
-    "hb-race",
-    "fasttrack",
-    "s2pl",
-    "empty",
-    "all",
-];
 
 /// Executes a CLI invocation, returning the text to print on stdout.
 pub fn execute(args: &[String]) -> Result<String, CliError> {
@@ -314,84 +293,23 @@ fn produce_trace_with(
     Ok((result.trace, watchdog))
 }
 
-/// Warnings plus analysis-health notes (budget suppression, degradation)
-/// that the text renderer appends after the warning list.
-struct Analysis {
-    warnings: Vec<Warning>,
-    notes: Vec<String>,
-}
-
-/// A tool whose statistics surface can be mirrored into a telemetry
-/// registry between operations, making it meterable by
-/// [`run_engine_metered`]. Implemented for the always-on engine and for
-/// the two-tier hybrid checker (whose dormant engine publishes explicit
-/// zeros, keeping the snapshot schema identical across backends).
-trait MeteredTool: Tool {
-    fn publish(&self, telemetry: &Telemetry);
-}
-
-impl MeteredTool for Velodrome {
-    fn publish(&self, telemetry: &Telemetry) {
-        self.publish_telemetry_to(telemetry);
-    }
-}
-
-impl MeteredTool for HybridVelodrome {
-    fn publish(&self, telemetry: &Telemetry) {
-        self.publish_telemetry_to(telemetry);
-    }
-}
-
-/// Drives the tool over the trace one operation at a time, mirroring the
-/// registry into a JSONL file every `interval` events (plus a final
-/// snapshot, so at least one line is always written). Also keeps the last
-/// few snapshots in a [`SnapshotRing`], matching how a long-running monitor
-/// would retain recent history.
-fn run_engine_metered<T: MeteredTool>(
-    engine: &mut T,
-    trace: &Trace,
-    telemetry: &Telemetry,
-    watchdog: &WatchdogStats,
-    path: &str,
-    interval: u64,
-) -> Result<(Vec<Warning>, u64), CliError> {
-    let file = std::fs::File::create(path).map_err(|e| io_err(format!("creating {path}: {e}")))?;
-    let mut exporter = JsonlExporter::new(std::io::BufWriter::new(file));
-    let mut ring = SnapshotRing::new(64);
-    let mut seq = 0u64;
-    let emit = |engine: &T,
-                events: u64,
-                exporter: &mut JsonlExporter<std::io::BufWriter<std::fs::File>>,
-                ring: &mut SnapshotRing,
-                seq: &mut u64|
-     -> Result<(), CliError> {
-        engine.publish(telemetry);
-        watchdog.publish(telemetry);
-        if let Some(snap) = telemetry.snapshot(*seq, events) {
-            exporter
-                .export(&snap)
-                .map_err(|e| io_err(format!("writing {path}: {e}")))?;
-            ring.push(snap);
-            *seq += 1;
-        }
-        Ok(())
-    };
-    for (i, op) in trace.iter() {
-        engine.op(i, op);
-        let events = i as u64 + 1;
-        if events % interval == 0 {
-            emit(engine, events, &mut exporter, &mut ring, &mut seq)?;
+impl Options {
+    /// The backend settings these flags select.
+    fn settings(&self, telemetry: &Telemetry, watchdog: &WatchdogStats) -> Settings {
+        Settings {
+            no_gc: self.no_gc,
+            max_alive: self.max_alive,
+            max_vars: self.max_vars,
+            window: self.window,
+            telemetry: telemetry.clone(),
+            spec: None,
+            metrics: self.metrics_out.clone().map(|path| Metrics {
+                path,
+                interval: self.metrics_interval,
+                watchdog: *watchdog,
+            }),
         }
     }
-    engine.end_of_trace();
-    emit(
-        engine,
-        trace.len() as u64,
-        &mut exporter,
-        &mut ring,
-        &mut seq,
-    )?;
-    Ok((engine.take_warnings(), exporter.lines_written()))
 }
 
 fn analyze(trace: &Trace, opts: &Options, watchdog: &WatchdogStats) -> Result<Analysis, CliError> {
@@ -412,148 +330,8 @@ fn analyze_with(
     watchdog: &WatchdogStats,
     telemetry: &Telemetry,
 ) -> Result<Analysis, CliError> {
-    if opts.metrics_out.is_some()
-        && !matches!(
-            opts.backend.as_str(),
-            "velodrome" | "velodrome-nomerge" | "velodrome-hybrid" | "aerodrome" | "all"
-        )
-    {
-        return Err(err(format!(
-            "--metrics-out requires a velodrome or hybrid backend, not `{}`",
-            opts.backend
-        )));
-    }
-    let engine_config = |trace: &Trace, merge: bool| VelodromeConfig {
-        names: trace.names().clone(),
-        merge,
-        gc: !opts.no_gc,
-        budget: velodrome_monitor::ResourceBudget {
-            max_alive_nodes: opts.max_alive,
-            max_tracked_vars: opts.max_vars,
-            ..velodrome_monitor::ResourceBudget::UNLIMITED
-        },
-        telemetry: telemetry.clone(),
-        ..VelodromeConfig::default()
-    };
-    let velodrome = |trace: &Trace, merge: bool| -> Result<Analysis, CliError> {
-        let mut engine = Velodrome::with_config(engine_config(trace, merge));
-        let mut notes = Vec::new();
-        let warnings = if let Some(path) = opts.metrics_out.as_deref() {
-            let (warnings, lines) = run_engine_metered(
-                &mut engine,
-                trace,
-                telemetry,
-                watchdog,
-                path,
-                opts.metrics_interval,
-            )?;
-            notes.push(format!("{lines} metric snapshots written to {path}"));
-            warnings
-        } else {
-            run_tool(&mut engine, trace)
-        };
-        // A caller-provided registry without --metrics-out (the batch
-        // runner) still wants the engine's final gauges for its merged
-        // snapshot.
-        if opts.metrics_out.is_none() && telemetry.is_enabled() {
-            engine.publish_telemetry_to(telemetry);
-        }
-        let stats = engine.stats();
-        if stats.warnings_suppressed > 0 {
-            notes.push(format!(
-                "{} warnings suppressed (budget)",
-                stats.warnings_suppressed
-            ));
-        }
-        if stats.ladder != velodrome_monitor::DegradationLevel::Full {
-            notes.push(format!(
-                "analysis degraded to {} ({} transitions, {} vars quarantined) — \
-                 warnings after the degradation point may be incomplete",
-                stats.ladder, stats.degradations, stats.vars_quarantined
-            ));
-        }
-        Ok(Analysis { warnings, notes })
-    };
-    let hybrid = |trace: &Trace, verdict_only: bool| -> Result<Analysis, CliError> {
-        let cfg = HybridConfig {
-            engine: engine_config(trace, !opts.no_merge),
-            max_window: opts.window,
-            verdict_only,
-        };
-        let mut checker = HybridVelodrome::with_config(cfg);
-        let mut notes = Vec::new();
-        let warnings = if let Some(path) = opts.metrics_out.as_deref() {
-            let (warnings, lines) = run_engine_metered(
-                &mut checker,
-                trace,
-                telemetry,
-                watchdog,
-                path,
-                opts.metrics_interval,
-            )?;
-            notes.push(format!("{lines} metric snapshots written to {path}"));
-            warnings
-        } else {
-            run_tool(&mut checker, trace)
-        };
-        if opts.metrics_out.is_none() && telemetry.is_enabled() {
-            checker.publish_telemetry_to(telemetry);
-        }
-        let stats = checker.stats();
-        match stats.escalated_at {
-            Some(at) => notes.push(format!(
-                "vector-clock screen escalated to the graph engine at event {at} \
-                 ({} buffered events replayed, {} graph operations)",
-                stats.buffered_peak,
-                stats.graph_ops()
-            )),
-            None => notes.push(format!(
-                "vector-clock screen held for all {} events: 0 graph operations, \
-                 {} epoch fast-path hits",
-                stats.ops, stats.screen.epoch_hits
-            )),
-        }
-        if stats.truncated > 0 {
-            notes.push(format!(
-                "{} events were evicted from the bounded escalation window \
-                 (--window={}); warnings may be incomplete",
-                stats.truncated, opts.window
-            ));
-        }
-        Ok(Analysis { warnings, notes })
-    };
-    let plain = |warnings: Vec<Warning>| Analysis {
-        warnings,
-        notes: Vec::new(),
-    };
-    Ok(match opts.backend.as_str() {
-        "velodrome" => velodrome(trace, !opts.no_merge)?,
-        "velodrome-nomerge" => velodrome(trace, false)?,
-        "velodrome-hybrid" => hybrid(trace, false)?,
-        "aerodrome" => hybrid(trace, true)?,
-        "atomizer" => plain(run_tool(&mut Atomizer::new(), trace)),
-        "eraser" => plain(run_tool(&mut Eraser::new(), trace)),
-        "hb-race" => plain(run_tool(&mut HbRaceDetector::new(), trace)),
-        "fasttrack" => plain(run_tool(&mut velodrome_vclock::FastTrack::new(), trace)),
-        "s2pl" => plain(run_tool(
-            &mut velodrome_lockset::StrictTwoPhase::new(),
-            trace,
-        )),
-        "empty" => plain(run_tool(&mut EmptyTool::new(), trace)),
-        "all" => {
-            let mut result = velodrome(trace, !opts.no_merge)?;
-            result
-                .warnings
-                .extend(run_tool(&mut Atomizer::new(), trace));
-            result.warnings.extend(run_tool(&mut Eraser::new(), trace));
-            result
-                .warnings
-                .extend(run_tool(&mut HbRaceDetector::new(), trace));
-            result.warnings.sort_by_key(|w| w.op_index);
-            result
-        }
-        other => return Err(err(format!("unknown backend `{other}`\n{USAGE}"))),
-    })
+    let backend = backend::select(&opts.backend, opts.metrics_out.is_some())?;
+    (backend.run)(trace, &opts.settings(telemetry, watchdog))
 }
 
 fn info(opts: &Options) -> Result<String, CliError> {
@@ -599,26 +377,18 @@ fn compare(opts: &Options) -> Result<String, CliError> {
         load_trace(opts)?
     };
     let mut out = format!("{} events; warnings per tool:\n", trace.len());
-    for backend in [
-        "velodrome",
-        "atomizer",
-        "s2pl",
-        "eraser",
-        "hb-race",
-        "fasttrack",
-    ] {
+    let mut settings = opts.settings(&Telemetry::disabled(), &WatchdogStats::default());
+    // Backends run side by side here; a metrics file belongs to one run.
+    settings.metrics = None;
+    let width = BACKENDS.iter().map(|b| b.name.len()).max().unwrap_or(0);
+    for backend in BACKENDS.iter().filter(|b| b.name != "all") {
         let start = std::time::Instant::now();
-        let mut o = Options {
-            backend: backend.into(),
-            ..Default::default()
-        };
-        o.no_merge = opts.no_merge;
-        o.no_gc = opts.no_gc;
-        let analysis = analyze(&trace, &o, &WatchdogStats::default())?;
+        let analysis = (backend.run)(&trace, &settings)?;
         let elapsed = start.elapsed();
         let _ = writeln!(
             out,
-            "  {backend:<10} {:>4} warnings   {:>8.2?}",
+            "  {:<width$} {:>4} warnings   {:>8.2?}",
+            backend.name,
             analysis.warnings.len(),
             elapsed
         );
@@ -879,6 +649,20 @@ mod tests {
     }
 
     #[test]
+    fn every_listed_backend_is_accepted() {
+        let documented: std::collections::HashSet<&str> = USAGE
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .collect();
+        for backend in backend::BACKENDS {
+            let name = backend.name;
+            assert!(documented.contains(name), "USAGE does not name `{name}`");
+            let out = run(&["check", "jbb", &format!("--backend={name}")])
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert!(out.contains("events analyzed"), "{name}: {out}");
+        }
+    }
+
+    #[test]
     fn backend_selection_works() {
         let out = run(&["check", "jbb", "--backend=atomizer"]).unwrap();
         assert!(out.contains("atomizer"), "{out}");
@@ -1005,14 +789,14 @@ mod tests {
 
     #[test]
     fn no_merge_flag_still_detects() {
-        let out = run(&["check", "multiset", "--no-merge", "--seed=1"]).unwrap();
+        let out = run(&[
+            "check",
+            "multiset",
+            "--backend=velodrome-nomerge",
+            "--seed=1",
+        ])
+        .unwrap();
         assert!(out.contains("is not atomic"), "{out}");
-    }
-
-    #[test]
-    fn fasttrack_backend_runs() {
-        let out = run(&["check", "tsp", "--backend=fasttrack"]).unwrap();
-        assert!(out.contains("events analyzed"), "{out}");
     }
 
     #[test]
@@ -1024,16 +808,26 @@ mod tests {
     #[test]
     fn compare_lists_all_tools() {
         let out = run(&["compare", "jbb"]).unwrap();
-        for tool in [
-            "velodrome",
-            "atomizer",
-            "s2pl",
-            "eraser",
-            "hb-race",
-            "fasttrack",
-        ] {
-            assert!(out.contains(tool), "missing {tool}: {out}");
+        for backend in BACKENDS {
+            let listed = out
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(backend.name));
+            assert_eq!(listed, backend.name != "all", "{}: {out}", backend.name);
         }
+    }
+
+    #[test]
+    fn compare_honors_budget_flags() {
+        let flags = ["multiset", "--seed=1", "--scale=4", "--max-alive=2"];
+        let check = run(&[&["check", "--json"][..], &flags].concat()).unwrap();
+        let checked: serde_json::Value = serde_json::from_str(&check).unwrap();
+        let compared = run(&[&["compare"][..], &flags].concat()).unwrap();
+        let row = compared
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some("velodrome"))
+            .unwrap();
+        let count: usize = row.split_whitespace().nth(1).unwrap().parse().unwrap();
+        assert_eq!(count, checked.as_array().unwrap().len(), "{compared}");
     }
 
     #[test]
@@ -1114,14 +908,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(e.kind, CliErrorKind::Usage, "{e}");
         assert!(e.message.contains("velodrome or hybrid backend"), "{e}");
-    }
-
-    #[test]
-    fn every_listed_backend_is_accepted() {
-        for backend in BACKENDS {
-            let out = run(&["check", "jbb", &format!("--backend={backend}")]).unwrap();
-            assert!(out.contains("events analyzed"), "{backend}: {out}");
-        }
     }
 
     #[test]

@@ -179,6 +179,19 @@ mod tests {
     }
 
     #[test]
+    fn read_shared_data_does_not_race() {
+        let n = races(|b| {
+            b.write("T1", "x"); // exclusive init
+            b.acquire("T1", "m").release("T1", "m");
+            b.acquire("T2", "m").release("T2", "m");
+            b.acquire("T3", "m").release("T3", "m");
+            // T2 and T3 read concurrently with each other, ordered after T1.
+            b.read("T2", "x").read("T3", "x");
+        });
+        assert_eq!(n, 0);
+    }
+
+    #[test]
     fn unordered_read_write_is_a_race() {
         let n = races(|b| {
             b.read("T1", "x");

@@ -21,6 +21,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 echo "==> cargo test"
 cargo test -q
 
+echo "==> perfbench builds (its own package, outside the workspace)"
+cargo build --release -q --manifest-path perfbench/Cargo.toml
+
 echo "==> chaos suite (fault injection against the live runtime)"
 cargo test -q -p velodrome-monitor --test chaos
 
@@ -92,7 +95,7 @@ cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/batch/metrics.js
     --require=batch.traces_checked,batch.traces_failed,batch.traces_quarantined,batch.events_total,batch.events_per_sec,batch.warnings_total,batch.jobs \
     >/dev/null
 
-echo "==> cross-backend differential suite + conformance corpus (fixed seeds)"
+echo "==> cross-backend differential suite + conformance corpus + backend registry"
 cargo test -q -p velodrome-integration --test atomicity_differential >/dev/null
 cargo test -q -p velodrome-integration --test corpus_conformance >/dev/null
 cargo test -q -p velodrome-integration --test backend_registry >/dev/null
