@@ -4,9 +4,10 @@
 //! once as pretty-agnostic JSON and once as the compact binary VBT format —
 //! and then checks the whole corpus two ways:
 //!
-//! 1. **json-serial** — the pre-batch pipeline: slurp each `.json` file,
-//!    parse it through the serde value tree ([`Trace::from_json`]), and
-//!    analyze traces one at a time on the calling thread;
+//! 1. **json-serial** — the single-trace pipeline: stream each `.json`
+//!    file through [`velodrome_events::read_json_trace`] (the reader
+//!    `velodrome trace` uses) and analyze traces one at a time on the
+//!    calling thread;
 //! 2. **vbt-parallel** — the `check-batch` pipeline: stream each `.vbt`
 //!    twin through the zero-copy reader and fan the corpus over
 //!    [`velodrome_cli::batch::run_batch`]'s worker pool.
@@ -18,6 +19,7 @@
 use serde::Serialize;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
+use velodrome_cli::backend::Settings;
 use velodrome_cli::batch::{BatchConfig, TraceStatus};
 use velodrome_events::{vbt, Trace};
 use velodrome_sim::{random_program, run_program, GenConfig, RandomScheduler};
@@ -70,11 +72,12 @@ pub fn build_corpus(dir: &Path, traces: u64, scale: u64, seed: u64) -> std::io::
         };
         let json_path = dir.join(format!("t{i:03}.json"));
         let vbt_path = dir.join(format!("t{i:03}.vbt"));
-        let json = trace.to_json();
-        std::fs::write(&json_path, &json)?;
-        let file = BufWriter::new(std::fs::File::create(&vbt_path)?);
-        vbt::write_vbt(file, &trace)?;
-        corpus.json_bytes += json.len() as u64;
+        velodrome_events::write_json_trace(
+            BufWriter::new(std::fs::File::create(&json_path)?),
+            &trace,
+        )?;
+        vbt::write_vbt(BufWriter::new(std::fs::File::create(&vbt_path)?), &trace)?;
+        corpus.json_bytes += std::fs::metadata(&json_path)?.len();
         corpus.vbt_bytes += std::fs::metadata(&vbt_path)?.len();
         corpus.entries.push(CorpusEntry {
             json_path,
@@ -116,13 +119,13 @@ impl LegResult {
     }
 }
 
-/// The json-serial leg: slurp + value-tree parse + one-at-a-time analysis.
+/// The json-serial leg: streaming JSON parse + one-at-a-time analysis.
 pub fn run_json_serial(corpus: &Corpus, backend: &str) -> LegResult {
     let start = std::time::Instant::now();
     let mut fingerprints = Vec::with_capacity(corpus.entries.len());
     for entry in &corpus.entries {
-        let json = std::fs::read_to_string(&entry.json_path).expect("corpus json twin reads");
-        let trace = Trace::from_json(&json).expect("corpus json twin parses");
+        let file = std::fs::File::open(&entry.json_path).expect("corpus json twin opens");
+        let trace = velodrome_events::read_json_trace(file).expect("corpus json twin parses");
         let (warnings, _notes) =
             velodrome_cli::batch::check_trace(&trace, backend).expect("serial analysis succeeds");
         fingerprints.push(serde_json::to_string(&warnings).expect("warnings serialize"));
@@ -139,7 +142,7 @@ pub fn run_vbt_parallel(corpus: &Corpus, backend: &str, jobs: usize) -> LegResul
         paths: corpus.entries.iter().map(|e| e.vbt_path.clone()).collect(),
         jobs,
         backend: backend.to_owned(),
-        collect_metrics: false,
+        settings: Settings::default(),
     };
     let start = std::time::Instant::now();
     let report = velodrome_cli::batch::run_batch(&cfg).expect("batch run succeeds");

@@ -1,8 +1,8 @@
 //! Batch-throughput benchmark: JSON-serial vs. VBT-parallel checking.
 //!
 //! Builds a twin corpus (every trace as both `.json` and `.vbt`), checks it
-//! once through the old slurp-and-parse serial pipeline and once through
-//! the `check-batch` worker pool over the VBT twins, asserts the per-trace
+//! once serially through the streaming JSON reader and once through the
+//! `check-batch` worker pool over the VBT twins, asserts the per-trace
 //! warning fingerprints byte-identical, and writes `BENCH_batch.json`.
 //!
 //! Flags: `--traces=N` (corpus size, default 48), `--scale=K` (fan-in

@@ -34,7 +34,8 @@ use velodrome_monitor::Warning;
 use velodrome_sim::WatchdogStats;
 use velodrome_telemetry::{names, MetricValue, Snapshot, Telemetry};
 
-/// What to run: the trace files, the pool size, and the backend.
+/// What to run: the trace files, the pool size, the backend, and the
+/// settings every trace runs with.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
     /// Trace files to check, in report order.
@@ -43,10 +44,13 @@ pub struct BatchConfig {
     pub jobs: usize,
     /// Backend name, as `--backend` accepts.
     pub backend: String,
-    /// Collect per-trace telemetry and merge it into one batch snapshot.
-    /// Requires a metered backend (the same restriction `--metrics-out`
-    /// imposes on single-trace runs).
-    pub collect_metrics: bool,
+    /// The engine flags, exactly as `velodrome trace` takes them. Each
+    /// trace runs with a registry of its own in place of `telemetry`: a
+    /// fresh one when `metrics` is set (the batch merges them into one
+    /// snapshot, which requires a metered backend, as `--metrics-out` does
+    /// for single-trace runs), a disabled one otherwise. No trace writes
+    /// the metrics file itself.
+    pub settings: Settings,
 }
 
 /// How one trace fared.
@@ -240,13 +244,15 @@ fn check_one(
         Ok(t) => t,
         Err(e) => return (fail(TraceStatus::Error, e.message, start), None),
     };
+    let collect_metrics = cfg.settings.metrics.is_some();
     let settings = Settings {
-        telemetry: if cfg.collect_metrics {
+        telemetry: if collect_metrics {
             Telemetry::registry()
         } else {
             Telemetry::disabled()
         },
-        ..Settings::default()
+        metrics: None,
+        ..cfg.settings.clone()
     };
     let telemetry = &settings.telemetry;
     let analysis =
@@ -258,7 +264,7 @@ fn check_one(
             Ok(Err(e)) => return (fail(TraceStatus::Error, e.message, start), None),
             Ok(Ok(analysis)) => analysis,
         };
-    let snapshot = if cfg.collect_metrics {
+    let snapshot = if collect_metrics {
         // Batch runs have no scheduler, but the single-trace snapshot
         // contract includes the watchdog gauges; publish explicit zeros so
         // `metrics-verify` holds for batch metrics too.
@@ -349,7 +355,7 @@ pub fn run_batch(cfg: &BatchConfig) -> Result<BatchReport, CliError> {
     if cfg.jobs == 0 {
         return Err(err("check-batch requires --jobs >= 1"));
     }
-    let backend = backend::select(&cfg.backend, cfg.collect_metrics)?;
+    let backend = backend::select(&cfg.backend, cfg.settings.metrics.is_some())?;
     type Slot = Option<(TraceOutcome, Option<Snapshot>)>;
     let start = std::time::Instant::now();
     let n = cfg.paths.len();
@@ -383,7 +389,7 @@ pub fn run_batch(cfg: &BatchConfig) -> Result<BatchReport, CliError> {
         backend: cfg.backend.clone(),
         merged: None,
     };
-    if cfg.collect_metrics {
+    if cfg.settings.metrics.is_some() {
         metrics.insert(
             names::BATCH_TRACES_CHECKED.into(),
             MetricValue::Gauge(report.ok() as u64),
@@ -479,11 +485,11 @@ pub(crate) fn check_batch_cmd(opts: &Options) -> Result<String, CliError> {
         paths,
         jobs: opts.jobs,
         backend: opts.backend.clone(),
-        collect_metrics: opts.metrics_out.is_some(),
+        settings: opts.settings(&Telemetry::disabled(), &WatchdogStats::default()),
     };
     let report = run_batch(&cfg)?;
     if let Some(path) = opts.metrics_out.as_deref() {
-        let snap = report.merged.as_ref().expect("collect_metrics was set");
+        let snap = report.merged.as_ref().expect("metrics were requested");
         let file =
             std::fs::File::create(path).map_err(|e| io_err(format!("creating {path}: {e}")))?;
         let mut exporter = velodrome_telemetry::JsonlExporter::new(std::io::BufWriter::new(file));
@@ -662,6 +668,46 @@ mod tests {
         assert_eq!(summary["quarantined"].as_u64(), Some(0));
         assert_eq!(summary["jobs"].as_u64(), Some(4));
         assert!(summary["events_per_sec"].as_u64().is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn check_batch_honours_engine_flags_like_trace() {
+        let dir = scratch_dir("batch-flags");
+        record_corpus(&dir);
+        for flags in [
+            &["--max-alive=2"][..],
+            &["--no-gc"],
+            &["--window=5", "--backend=velodrome-hybrid"],
+        ] {
+            let out = run(&[&["check-batch", dir.to_str().unwrap()][..], flags].concat()).unwrap();
+            let mut noted = false;
+            for line in out.lines().filter(|l| l.contains("\"path\"")) {
+                let v: serde_json::Value = serde_json::from_str(line).unwrap();
+                let path = v["path"].as_str().unwrap();
+                let trace = [&["trace", path][..], flags].concat();
+                let serial = run(&[&trace[..], &["--json"]].concat()).unwrap();
+                let serial: serde_json::Value = serde_json::from_str(&serial).unwrap();
+                assert_eq!(v["warnings"], serial, "{flags:?}: {path}");
+                // `trace` prints the notes last, then the event count.
+                let notes = v["notes"].as_array().unwrap();
+                noted |= !notes.is_empty();
+                let notes: String = notes
+                    .iter()
+                    .map(|n| format!("{}\n", n.as_str().unwrap()))
+                    .collect();
+                let tail = format!(
+                    "{notes}({} events analyzed)\n",
+                    v["events"].as_u64().unwrap()
+                );
+                let text = run(&trace).unwrap();
+                assert!(text.ends_with(&tail), "{flags:?}: {path}\n{text}");
+            }
+            assert!(
+                noted || flags == ["--no-gc"],
+                "{flags:?}: no trace has notes"
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -442,7 +442,7 @@ fn record(opts: &Options) -> Result<String, CliError> {
         .out
         .as_deref()
         .ok_or_else(|| err("record requires --out=FILE"))?;
-    std::fs::write(path, trace.to_json()).map_err(|e| io_err(format!("writing {path}: {e}")))?;
+    write_trace_file(path, &trace, velodrome_events::write_json_trace)?;
     Ok(format!("recorded {} events to {path}\n", trace.len()))
 }
 
@@ -482,6 +482,17 @@ fn read_trace_file(path: &str) -> Result<Trace, CliError> {
     })
 }
 
+/// Writes `trace` to the file at `path` with one of the codecs'
+/// streaming writers, through a [`std::io::BufWriter`].
+fn write_trace_file(
+    path: &str,
+    trace: &Trace,
+    write: fn(std::io::BufWriter<std::fs::File>, &Trace) -> std::io::Result<()>,
+) -> Result<(), CliError> {
+    let file = std::fs::File::create(path).map_err(|e| io_err(format!("writing {path}: {e}")))?;
+    write(std::io::BufWriter::new(file), trace).map_err(|e| io_err(format!("writing {path}: {e}")))
+}
+
 /// Translates a trace between the JSON and VBT encodings. The target
 /// format comes from `--to=json|vbt` or, failing that, the output path's
 /// extension.
@@ -505,11 +516,9 @@ fn convert(opts: &Options) -> Result<String, CliError> {
     };
     let trace = read_trace_file(inp)?;
     if target == "vbt" {
-        let file = std::fs::File::create(out).map_err(|e| io_err(format!("writing {out}: {e}")))?;
-        velodrome_events::write_vbt(std::io::BufWriter::new(file), &trace)
-            .map_err(|e| io_err(format!("writing {out}: {e}")))?;
+        write_trace_file(out, &trace, velodrome_events::write_vbt)?;
     } else {
-        std::fs::write(out, trace.to_json()).map_err(|e| io_err(format!("writing {out}: {e}")))?;
+        write_trace_file(out, &trace, velodrome_events::write_json_trace)?;
     }
     Ok(format!(
         "converted {} events: {inp} -> {out} ({target})\n",

@@ -6,16 +6,14 @@
 //! indices into per-entity tables. Human-readable names live in a side
 //! [`SymbolTable`] so the hot path never touches strings.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:expr) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
         #[serde(transparent)]
         pub struct $name(u32);
 
@@ -82,7 +80,7 @@ id_type!(
 ///
 /// All lookups fall back to the identifier's `Display` form (`T0`, `x3`, …)
 /// when no name was registered, so reports always render.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
     threads: HashMap<u32, String>,
     vars: HashMap<u32, String>,
@@ -148,31 +146,27 @@ impl SymbolTable {
             .unwrap_or_else(|| l.to_string())
     }
 
-    fn sorted_entries(map: &HashMap<u32, String>) -> Vec<(u32, &str)> {
-        let mut entries: Vec<(u32, &str)> = map.iter().map(|(&k, v)| (k, v.as_str())).collect();
-        entries.sort_unstable_by_key(|&(k, _)| k);
-        entries
+    /// The four name tables — threads, vars, locks, labels, the order
+    /// both trace codecs write them in — as `(id, name)` pairs sorted by
+    /// id.
+    pub(crate) fn entries(&self) -> [Vec<(u32, &str)>; 4] {
+        [&self.threads, &self.vars, &self.locks, &self.labels].map(|map| {
+            let mut entries: Vec<(u32, &str)> = map.iter().map(|(&k, v)| (k, v.as_str())).collect();
+            entries.sort_unstable_by_key(|&(k, _)| k);
+            entries
+        })
     }
 
-    /// Registered `(id, name)` pairs for threads, sorted by id. Used by
-    /// serializers that need a deterministic iteration order.
-    pub fn thread_entries(&self) -> Vec<(u32, &str)> {
-        Self::sorted_entries(&self.threads)
-    }
-
-    /// Registered `(id, name)` pairs for variables, sorted by id.
-    pub fn var_entries(&self) -> Vec<(u32, &str)> {
-        Self::sorted_entries(&self.vars)
-    }
-
-    /// Registered `(id, name)` pairs for locks, sorted by id.
-    pub fn lock_entries(&self) -> Vec<(u32, &str)> {
-        Self::sorted_entries(&self.locks)
-    }
-
-    /// Registered `(id, name)` pairs for labels, sorted by id.
-    pub fn label_entries(&self) -> Vec<(u32, &str)> {
-        Self::sorted_entries(&self.labels)
+    /// Registers `name` for `id` in table `table`, an index into the
+    /// order of [`Self::entries`].
+    pub(crate) fn insert(&mut self, table: usize, id: u32, name: String) {
+        let tables = [
+            &mut self.threads,
+            &mut self.vars,
+            &mut self.locks,
+            &mut self.labels,
+        ];
+        tables[table].insert(id, name);
     }
 }
 
@@ -211,13 +205,13 @@ mod tests {
     }
 
     #[test]
-    fn symbol_table_serde_roundtrip() {
-        let mut names = SymbolTable::new();
+    fn symbol_table_roundtrips_through_trace_json() {
+        let mut trace = crate::Trace::new();
+        let names = trace.names_mut();
         names.name_var(VarId::new(1), "Set.elems");
         names.name_lock(LockId::new(0), "this");
-        let json = serde_json::to_string(&names).unwrap();
-        let back: SymbolTable = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.var(VarId::new(1)), "Set.elems");
-        assert_eq!(back.lock(LockId::new(0)), "this");
+        let back = crate::Trace::from_json(&trace.to_json()).unwrap();
+        assert_eq!(back.names().var(VarId::new(1)), "Set.elems");
+        assert_eq!(back.names().lock(LockId::new(0)), "this");
     }
 }

@@ -14,8 +14,8 @@
 //!   ([`Transactions`]);
 //! * [`oracle`] — an offline, from-first-principles serializability
 //!   decision procedure used as differential-testing ground truth;
-//! * [`stream`] — incremental JSON trace ingestion with byte-offset
-//!   error reporting and bounded memory;
+//! * [`stream`] — the JSON trace codec: a streaming reader with
+//!   byte-offset error reporting and bounded memory, and its writer;
 //! * [`vbt`] — the compact VBT binary trace format (varint ops, string
 //!   tables, length-prefixed frames) with a streaming reader and writer.
 //!
@@ -47,7 +47,9 @@ pub mod vbt;
 pub use ids::{Label, LockId, SymbolTable, ThreadId, VarId};
 pub use op::Op;
 pub use stats::TraceStats;
-pub use stream::{read_json_trace, scan_json_trace, JsonTraceSummary, TraceReadError};
+pub use stream::{
+    read_json_trace, scan_json_trace, write_json_trace, JsonTraceSummary, TraceReadError,
+};
 pub use trace::{Trace, TraceBuilder};
 pub use txn::{Transactions, TxnId, TxnInfo};
 pub use vbt::{is_vbt, read_vbt, trace_to_vbt, write_vbt, VbtReader};

@@ -8,11 +8,11 @@
 //! concrete global store.
 
 use crate::ids::{Label, LockId, ThreadId, VarId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A single operation on the global store, as observed by the monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Op {
     /// `rd(t, x, v)` — thread `t` reads variable `x`.
     Read {

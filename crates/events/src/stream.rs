@@ -1,24 +1,33 @@
-//! Incremental trace ingestion.
+//! The JSON trace codec: the one place that knows the trace JSON layout,
+//! in both directions.
 //!
-//! [`Trace::from_json`] parses a complete in-memory string through the
-//! generic JSON value tree, which means reading a recorded trace costs
-//! *three* copies of the input (the text, the value tree, and the ops).
-//! This module parses trace JSON directly off an [`std::io::Read`] stream
-//! with one bounded buffer and no intermediate value tree: peak memory is
-//! the decoded operations themselves (or nothing at all with
+//! [`read_json_trace`] parses trace JSON directly off an [`std::io::Read`]
+//! stream with one bounded buffer and no intermediate value tree: peak
+//! memory is the decoded operations themselves (or nothing at all with
 //! [`scan_json_trace`], which hands each operation to a callback as it is
-//! decoded). The binary VBT reader ([`crate::vbt`]) shares the same
-//! buffered byte source and error type.
+//! decoded). [`write_json_trace`] is its mirror image: it renders a
+//! [`Trace`] into an [`std::io::Write`] through one bounded buffer.
+//! [`Trace::from_json`] and [`Trace::to_json`] are thin wrappers over the
+//! two. The binary VBT reader ([`crate::vbt`]) shares the same buffered
+//! byte source and error type.
 //!
-//! Every error carries the absolute byte offset of the first byte that
-//! could not be interpreted, so CLI diagnostics can point into the file.
+//! The layout is `{"ops":[…],"names":{…},"synthesized":[…]}`: each
+//! operation is externally tagged (`{"Read":{"t":0,"x":1}}`), `names`
+//! holds the `threads`, `vars`, `locks`, and `labels` id→name maps, and
+//! `synthesized` is omitted when empty. The writer emits map keys sorted
+//! as strings (`"10"` before `"2"`); the reader accepts any key order,
+//! whitespace, and unknown keys.
+//!
+//! Every read error carries the absolute byte offset of the first byte
+//! that could not be interpreted, so CLI diagnostics can point into the
+//! file.
 
 use crate::ids::SymbolTable;
 use crate::op::Op;
 use crate::trace::Trace;
 use crate::{Label, LockId, ThreadId, VarId};
 use std::fmt;
-use std::io::Read;
+use std::io::{Read, Write};
 
 /// Why a streaming trace read failed: the source itself, or its contents.
 ///
@@ -191,9 +200,9 @@ pub struct JsonTraceSummary {
 
 /// Parses a JSON trace incrementally from `src` into a [`Trace`].
 ///
-/// Accepts the same documents as [`Trace::from_json`] but never holds the
-/// input text (or a JSON value tree) in memory: peak allocation is one
-/// fixed 64 KiB read buffer plus the decoded trace itself.
+/// Never holds the input text (or a JSON value tree) in memory: peak
+/// allocation is one fixed 64 KiB read buffer plus the decoded trace
+/// itself.
 pub fn read_json_trace<R: Read>(src: R) -> Result<Trace, TraceReadError> {
     let mut ops = Vec::new();
     let summary = scan_json_trace(src, |_, op| ops.push(op))?;
@@ -214,6 +223,134 @@ pub fn scan_json_trace<R: Read, F: FnMut(usize, Op)>(
     JsonParser::new(src).parse_trace(on_op)
 }
 
+/// Encodes `trace` as JSON into `w`, byte for byte what
+/// [`read_json_trace`] reads back. Output goes through one 64 KiB
+/// buffer, so memory use is independent of trace length; `w` is flushed
+/// before returning.
+pub fn write_json_trace<W: Write>(w: W, trace: &Trace) -> std::io::Result<()> {
+    let mut out = JsonWriter {
+        w,
+        buf: Vec::with_capacity(BUF_SIZE + 1024),
+    };
+    out.raw(b"{\"ops\":[");
+    for (i, &op) in trace.ops().iter().enumerate() {
+        if i > 0 {
+            out.raw(b",");
+        }
+        let (tag, t, operand) = Tag::of(op);
+        out.raw(b"{\"");
+        out.raw(tag.name().as_bytes());
+        out.raw(b"\":{\"t\":");
+        out.num(t.raw() as u64);
+        if let (Some(field), Some(v)) = (tag.operand(), operand) {
+            out.raw(b",\"");
+            out.raw(field.as_bytes());
+            out.raw(b"\":");
+            out.num(v as u64);
+        }
+        out.raw(b"}}");
+        out.spill()?;
+    }
+    out.raw(b"],\"names\":{");
+    for (i, (key, mut entries)) in NAME_TABLES
+        .into_iter()
+        .zip(trace.names().entries())
+        .enumerate()
+    {
+        if i > 0 {
+            out.raw(b",");
+        }
+        out.string(key);
+        out.raw(b":{");
+        // JSON object keys are strings, and they sort as strings.
+        entries.sort_by_cached_key(|&(id, _)| id.to_string());
+        for (j, (id, name)) in entries.into_iter().enumerate() {
+            if j > 0 {
+                out.raw(b",");
+            }
+            out.raw(b"\"");
+            out.num(id as u64);
+            out.raw(b"\":");
+            out.string(name);
+            out.spill()?;
+        }
+        out.raw(b"}");
+    }
+    out.raw(b"}");
+    if !trace.synthesized().is_empty() {
+        out.raw(b",\"synthesized\":[");
+        for (i, &idx) in trace.synthesized().iter().enumerate() {
+            if i > 0 {
+                out.raw(b",");
+            }
+            out.num(idx as u64);
+            out.spill()?;
+        }
+        out.raw(b"]");
+    }
+    out.raw(b"}");
+    out.w.write_all(&out.buf)?;
+    out.w.flush()
+}
+
+/// The output side of the codec: a byte buffer that spills into `w`
+/// whenever it passes [`BUF_SIZE`].
+struct JsonWriter<W> {
+    w: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> JsonWriter<W> {
+    fn raw(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    fn num(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.raw(&digits[at..]);
+    }
+
+    /// A JSON string literal: `"` and `\` escaped, control characters as
+    /// `\n`/`\r`/`\t` or `\u00XX`, everything else (non-ASCII included)
+    /// verbatim.
+    fn string(&mut self, s: &str) {
+        self.buf.push(b'"');
+        for c in s.chars() {
+            match c {
+                '"' => self.raw(b"\\\""),
+                '\\' => self.raw(b"\\\\"),
+                '\n' => self.raw(b"\\n"),
+                '\r' => self.raw(b"\\r"),
+                '\t' => self.raw(b"\\t"),
+                c if (c as u32) < 0x20 => {
+                    let hex = b"0123456789abcdef";
+                    let c = c as usize;
+                    self.raw(&[b'\\', b'u', b'0', b'0', hex[c >> 4], hex[c & 0xf]]);
+                }
+                c => self.raw(c.encode_utf8(&mut [0; 4]).as_bytes()),
+            }
+        }
+        self.buf.push(b'"');
+    }
+
+    fn spill(&mut self) -> std::io::Result<()> {
+        if self.buf.len() >= BUF_SIZE {
+            self.w.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+}
+
 /// Top-level keys of a trace document.
 #[derive(Clone, Copy, PartialEq)]
 enum TopKey {
@@ -223,9 +360,14 @@ enum TopKey {
     Unknown,
 }
 
-/// Operation tags, i.e. the variant names of [`Op`].
+/// The keys of the `names` object, in the order of
+/// [`SymbolTable::entries`].
+const NAME_TABLES: [&str; 4] = ["threads", "vars", "locks", "labels"];
+
+/// Operation tags, i.e. the variant names of [`Op`]. The declaration
+/// order is the VBT tag byte ([`crate::vbt`]): `Read` = 0 … `Join` = 7.
 #[derive(Clone, Copy)]
-enum Tag {
+pub(crate) enum Tag {
     Read,
     Write,
     Acquire,
@@ -237,6 +379,67 @@ enum Tag {
 }
 
 impl Tag {
+    /// Every tag, indexed by its VBT tag byte.
+    pub(crate) const ALL: [Tag; 8] = [
+        Tag::Read,
+        Tag::Write,
+        Tag::Acquire,
+        Tag::Release,
+        Tag::Begin,
+        Tag::End,
+        Tag::Fork,
+        Tag::Join,
+    ];
+
+    /// An operation's tag, thread, and second operand (if any).
+    pub(crate) fn of(op: Op) -> (Tag, ThreadId, Option<u32>) {
+        match op {
+            Op::Read { t, x } => (Tag::Read, t, Some(x.raw())),
+            Op::Write { t, x } => (Tag::Write, t, Some(x.raw())),
+            Op::Acquire { t, m } => (Tag::Acquire, t, Some(m.raw())),
+            Op::Release { t, m } => (Tag::Release, t, Some(m.raw())),
+            Op::Begin { t, l } => (Tag::Begin, t, Some(l.raw())),
+            Op::End { t } => (Tag::End, t, None),
+            Op::Fork { t, child } => (Tag::Fork, t, Some(child.raw())),
+            Op::Join { t, child } => (Tag::Join, t, Some(child.raw())),
+        }
+    }
+
+    /// The inverse of [`Tag::of`]; `operand` is ignored for `End`.
+    pub(crate) fn build(self, t: ThreadId, operand: u32) -> Op {
+        match self {
+            Tag::Read => Op::Read {
+                t,
+                x: VarId::new(operand),
+            },
+            Tag::Write => Op::Write {
+                t,
+                x: VarId::new(operand),
+            },
+            Tag::Acquire => Op::Acquire {
+                t,
+                m: LockId::new(operand),
+            },
+            Tag::Release => Op::Release {
+                t,
+                m: LockId::new(operand),
+            },
+            Tag::Begin => Op::Begin {
+                t,
+                l: Label::new(operand),
+            },
+            Tag::End => Op::End { t },
+            Tag::Fork => Op::Fork {
+                t,
+                child: ThreadId::new(operand),
+            },
+            Tag::Join => Op::Join {
+                t,
+                child: ThreadId::new(operand),
+            },
+        }
+    }
+
     fn name(self) -> &'static str {
         match self {
             Tag::Read => "Read",
@@ -652,8 +855,8 @@ impl<R: Read> JsonParser<R> {
                 }
             }
         }
-        // Any further entries in the operation object are ignored, matching
-        // the value-tree parser (which reads the first entry only).
+        // Any further entries in the operation object are ignored: the
+        // first entry is the operation.
         self.skip_ws()?;
         loop {
             match self.s.next_byte()? {
@@ -672,46 +875,12 @@ impl<R: Read> JsonParser<R> {
         let t = ThreadId::new(
             t.ok_or_else(|| self.fail(format!("missing field `t` in {}", tag.name())))?,
         );
-        let require = |this: &Self, v: Option<u32>| {
-            v.ok_or_else(|| {
-                this.fail(format!(
-                    "missing field `{}` in {}",
-                    tag.operand().unwrap_or("?"),
-                    tag.name()
-                ))
-            })
+        let operand = match tag.operand() {
+            Some(field) => operand
+                .ok_or_else(|| self.fail(format!("missing field `{field}` in {}", tag.name())))?,
+            None => 0,
         };
-        Ok(match tag {
-            Tag::Read => Op::Read {
-                t,
-                x: VarId::new(require(self, operand)?),
-            },
-            Tag::Write => Op::Write {
-                t,
-                x: VarId::new(require(self, operand)?),
-            },
-            Tag::Acquire => Op::Acquire {
-                t,
-                m: LockId::new(require(self, operand)?),
-            },
-            Tag::Release => Op::Release {
-                t,
-                m: LockId::new(require(self, operand)?),
-            },
-            Tag::Begin => Op::Begin {
-                t,
-                l: Label::new(require(self, operand)?),
-            },
-            Tag::End => Op::End { t },
-            Tag::Fork => Op::Fork {
-                t,
-                child: ThreadId::new(require(self, operand)?),
-            },
-            Tag::Join => Op::Join {
-                t,
-                child: ThreadId::new(require(self, operand)?),
-            },
-        })
+        Ok(tag.build(t, operand))
     }
 
     /// Parses the `names` object: four id→name maps keyed by decimal
@@ -727,28 +896,16 @@ impl<R: Read> JsonParser<R> {
             loop {
                 self.skip_ws()?;
                 self.parse_string()?;
-                let slot = match self.scratch.as_slice() {
-                    b"threads" => Some(0),
-                    b"vars" => Some(1),
-                    b"locks" => Some(2),
-                    b"labels" => Some(3),
-                    _ => None,
-                };
+                let slot = NAME_TABLES
+                    .iter()
+                    .position(|k| k.as_bytes() == self.scratch);
                 self.skip_ws()?;
                 self.expect(b':', "`:`")?;
                 self.skip_ws()?;
                 match slot {
                     Some(i) => {
                         seen[i] = true;
-                        self.parse_id_map(
-                            |id, name, table: &mut SymbolTable| match i {
-                                0 => table.name_thread(ThreadId::new(id), name),
-                                1 => table.name_var(VarId::new(id), name),
-                                2 => table.name_lock(LockId::new(id), name),
-                                _ => table.name_label(Label::new(id), name),
-                            },
-                            &mut table,
-                        )?;
+                        self.parse_id_map(i, &mut table)?;
                     }
                     None => self.skip_value(0)?,
                 }
@@ -760,7 +917,7 @@ impl<R: Read> JsonParser<R> {
                 }
             }
         }
-        for (i, field) in ["threads", "vars", "locks", "labels"].iter().enumerate() {
+        for (i, field) in NAME_TABLES.iter().enumerate() {
             if !seen[i] {
                 return Err(self.fail(format!("`names` is missing `{field}`")));
             }
@@ -768,11 +925,8 @@ impl<R: Read> JsonParser<R> {
         Ok(table)
     }
 
-    fn parse_id_map(
-        &mut self,
-        mut insert: impl FnMut(u32, String, &mut SymbolTable),
-        table: &mut SymbolTable,
-    ) -> Result<(), TraceReadError> {
+    /// Parses one id→name map of `names` into table `slot` of `table`.
+    fn parse_id_map(&mut self, slot: usize, table: &mut SymbolTable) -> Result<(), TraceReadError> {
         self.expect(b'{', "an object")?;
         self.skip_ws()?;
         if self.s.peek()? == Some(b'}') {
@@ -791,7 +945,7 @@ impl<R: Read> JsonParser<R> {
             self.skip_ws()?;
             self.parse_string()?;
             let name = self.scratch_str()?.to_owned();
-            insert(id, name, table);
+            table.insert(slot, id, name);
             self.skip_ws()?;
             match self.s.next_byte()? {
                 Some(b',') => continue,
@@ -837,13 +991,73 @@ mod tests {
         b.finish()
     }
 
+    /// Twelve named threads (so key `"10"` sorts before `"2"`), a name
+    /// that needs every kind of escape, and synthesized indices.
+    fn pinned_trace() -> Trace {
+        const ESCAPED: &str = "q\"b\\s\u{1f}\n\té😀";
+        let mut b = TraceBuilder::new();
+        for i in 0..12 {
+            b.thread(&format!("t{i}"));
+        }
+        b.begin("t0", "Set.add")
+            .read("t0", ESCAPED)
+            .write("t11", ESCAPED);
+        b.acquire("t0", "this").release("t0", "this").end("t0");
+        b.fork("t0", "t10").join("t0", "t10");
+        let mut trace = b.finish();
+        trace.mark_synthesized(5);
+        trace.mark_synthesized(4);
+        trace
+    }
+
+    const PINNED: &str = concat!(
+        r#"{"ops":[{"Begin":{"t":0,"l":0}},{"Read":{"t":0,"x":0}},{"Write":{"t":11,"x":0}},"#,
+        r#"{"Acquire":{"t":0,"m":0}},{"Release":{"t":0,"m":0}},{"End":{"t":0}},"#,
+        r#"{"Fork":{"t":0,"child":10}},{"Join":{"t":0,"child":10}}],"#,
+        r#""names":{"threads":{"0":"t0","1":"t1","10":"t10","11":"t11","2":"t2","3":"t3","#,
+        r#""4":"t4","5":"t5","6":"t6","7":"t7","8":"t8","9":"t9"},"#,
+        r#""vars":{"0":"q\"b\\s\u001f\n\té😀"},"locks":{"0":"this"},"labels":{"0":"Set.add"}},"#,
+        r#""synthesized":[4,5]}"#,
+    );
+
     #[test]
-    fn streaming_parse_matches_value_tree_parse() {
-        let trace = sample_trace();
-        let json = trace.to_json();
-        let streamed = read_json_trace(json.as_bytes()).unwrap();
-        assert_eq!(streamed.ops(), trace.ops());
-        assert_eq!(streamed.to_json(), json);
+    fn writer_matches_pinned_literal() {
+        assert_eq!(pinned_trace().to_json(), PINNED);
+    }
+
+    #[test]
+    fn streaming_parse_matches_pinned_literal() {
+        let expected = pinned_trace();
+        let streamed = read_json_trace(PINNED.as_bytes()).unwrap();
+        assert_eq!(streamed.ops(), expected.ops());
+        assert_eq!(streamed.synthesized(), &[4, 5]);
+        for i in 0..12 {
+            assert_eq!(streamed.names().thread(ThreadId::new(i)), format!("t{i}"));
+        }
+        assert_eq!(
+            streamed.names().var(VarId::new(0)),
+            expected.names().var(VarId::new(0))
+        );
+        assert_eq!(streamed.to_json(), PINNED);
+    }
+
+    #[test]
+    fn corpus_traces_roundtrip_byte_for_byte() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus");
+        let mut checked = 0;
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            if !path.to_string_lossy().ends_with(".trace.json") {
+                continue;
+            }
+            let bytes = std::fs::read(&path).unwrap();
+            let trace = read_json_trace(&bytes[..]).unwrap();
+            let mut out = Vec::new();
+            write_json_trace(&mut out, &trace).unwrap();
+            assert!(out == bytes, "{} does not round-trip", path.display());
+            checked += 1;
+        }
+        assert!(checked >= 10, "only {checked} corpus traces found");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::ids::{Label, LockId, SymbolTable, ThreadId, VarId};
 use crate::op::Op;
-use serde::{Deserialize, Serialize};
+use crate::stream::{read_json_trace, write_json_trace, TraceReadError};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -25,34 +25,6 @@ pub struct Trace {
     names: SymbolTable,
     /// Sorted indices of synthesized operations.
     synthesized: Vec<usize>,
-}
-
-impl Serialize for Trace {
-    fn serialize_value(&self) -> serde::Value {
-        let mut m = serde::value::Map::new();
-        m.insert("ops".to_owned(), self.ops.serialize_value());
-        m.insert("names".to_owned(), self.names.serialize_value());
-        if !self.synthesized.is_empty() {
-            m.insert("synthesized".to_owned(), self.synthesized.serialize_value());
-        }
-        serde::Value::Object(m)
-    }
-}
-
-impl Deserialize for Trace {
-    fn deserialize_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let serde::Value::Object(obj) = v else {
-            return Err(serde::Error::custom("expected a trace object"));
-        };
-        let null = serde::Value::Null;
-        let ops = Vec::<Op>::deserialize_value(obj.get("ops").unwrap_or(&null))?;
-        let names = SymbolTable::deserialize_value(obj.get("names").unwrap_or(&null))?;
-        let synthesized = match obj.get("synthesized") {
-            Some(serde::Value::Null) | None => Vec::new(),
-            Some(value) => Vec::<usize>::deserialize_value(value)?,
-        };
-        Self::from_raw_parts(ops, names, synthesized).map_err(serde::Error::custom)
-    }
 }
 
 impl Trace {
@@ -177,14 +149,16 @@ impl Trace {
         seen
     }
 
-    /// Serializes the trace as JSON.
+    /// Serializes the trace as JSON ([`write_json_trace`] into a string).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serialization cannot fail")
+        let mut out = Vec::new();
+        write_json_trace(&mut out, self).expect("writing to a Vec cannot fail");
+        String::from_utf8(out).expect("trace JSON is UTF-8")
     }
 
-    /// Parses a trace from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+    /// Parses a trace from JSON ([`read_json_trace`] over the string).
+    pub fn from_json(json: &str) -> Result<Self, TraceReadError> {
+        read_json_trace(json.as_bytes())
     }
 }
 

@@ -10,12 +10,12 @@
 use crate::ids::{Label, ThreadId};
 use crate::op::Op;
 use crate::trace::Trace;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::HashMap;
 use std::fmt;
 
 /// Identifies a transaction within a segmented trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 #[serde(transparent)]
 pub struct TxnId(u32);
 
@@ -38,7 +38,7 @@ impl fmt::Display for TxnId {
 }
 
 /// Summary of one transaction in a segmented trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TxnInfo {
     /// The transaction's identifier.
     pub id: TxnId,
@@ -60,7 +60,7 @@ pub struct TxnInfo {
 }
 
 /// The result of segmenting a trace into transactions.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct Transactions {
     /// For each operation index, the transaction it belongs to.
     op_txn: Vec<TxnId>,

@@ -49,9 +49,9 @@
 
 use crate::ids::SymbolTable;
 use crate::op::Op;
-use crate::stream::{ByteStream, TraceReadError};
+use crate::stream::{ByteStream, Tag, TraceReadError};
 use crate::trace::Trace;
-use crate::{Label, LockId, ThreadId, VarId};
+use crate::ThreadId;
 use std::io::{Read, Write};
 
 /// The four magic bytes opening every VBT stream.
@@ -87,37 +87,22 @@ fn push_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 fn push_op(out: &mut Vec<u8>, op: Op) {
-    let (tag, a, b) = match op {
-        Op::Read { t, x } => (0u8, t.raw(), Some(x.raw())),
-        Op::Write { t, x } => (1, t.raw(), Some(x.raw())),
-        Op::Acquire { t, m } => (2, t.raw(), Some(m.raw())),
-        Op::Release { t, m } => (3, t.raw(), Some(m.raw())),
-        Op::Begin { t, l } => (4, t.raw(), Some(l.raw())),
-        Op::End { t } => (5, t.raw(), None),
-        Op::Fork { t, child } => (6, t.raw(), Some(child.raw())),
-        Op::Join { t, child } => (7, t.raw(), Some(child.raw())),
-    };
-    out.push(tag);
-    push_varint(out, a as u64);
-    if let Some(b) = b {
-        push_varint(out, b as u64);
+    let (tag, t, operand) = Tag::of(op);
+    out.push(tag as u8);
+    push_varint(out, t.raw() as u64);
+    if let Some(v) = operand {
+        push_varint(out, v as u64);
     }
 }
 
 /// Encodes `trace` as VBT into `w`. Writes the header and string tables,
 /// then the operations in bounded frames, so memory use is independent of
-/// trace length.
+/// trace length; `w` is flushed before returning.
 pub fn write_vbt<W: Write>(mut w: W, trace: &Trace) -> std::io::Result<()> {
     let mut buf = Vec::with_capacity(64 * 1024);
     buf.extend_from_slice(&MAGIC);
     buf.push(VERSION);
-    let names = trace.names();
-    for entries in [
-        names.thread_entries(),
-        names.var_entries(),
-        names.lock_entries(),
-        names.label_entries(),
-    ] {
+    for entries in trace.names().entries() {
         push_varint(&mut buf, entries.len() as u64);
         for (id, name) in entries {
             push_varint(&mut buf, id as u64);
@@ -146,7 +131,7 @@ pub fn write_vbt<W: Write>(mut w: W, trace: &Trace) -> std::io::Result<()> {
     }
     // End-of-trace sentinel.
     w.write_all(&[0])?;
-    Ok(())
+    w.flush()
 }
 
 /// Encodes `trace` as a VBT byte vector.
@@ -211,13 +196,8 @@ impl<R: Read> VbtReader<R> {
             ));
         }
         let mut names = SymbolTable::new();
-        for table in 0..4u8 {
-            Self::read_table(&mut s, |id, name| match table {
-                0 => names.name_thread(ThreadId::new(id), name),
-                1 => names.name_var(VarId::new(id), name),
-                2 => names.name_lock(LockId::new(id), name),
-                _ => names.name_label(Label::new(id), name),
-            })?;
+        for table in 0..4 {
+            Self::read_table(&mut s, |id, name| names.insert(table, id, name))?;
         }
         let count = read_varint(&mut s)?;
         if count > MAX_TABLE_ENTRIES {
@@ -399,43 +379,20 @@ impl<R: Read> VbtReader<R> {
         };
         self.frame_pos += 1;
         let t = ThreadId::new(self.frame_id("thread id")?);
-        Ok(match tag {
-            0 => Op::Read {
-                t,
-                x: VarId::new(self.frame_id("variable id")?),
-            },
-            1 => Op::Write {
-                t,
-                x: VarId::new(self.frame_id("variable id")?),
-            },
-            2 => Op::Acquire {
-                t,
-                m: LockId::new(self.frame_id("lock id")?),
-            },
-            3 => Op::Release {
-                t,
-                m: LockId::new(self.frame_id("lock id")?),
-            },
-            4 => Op::Begin {
-                t,
-                l: Label::new(self.frame_id("label id")?),
-            },
-            5 => Op::End { t },
-            6 => Op::Fork {
-                t,
-                child: ThreadId::new(self.frame_id("thread id")?),
-            },
-            7 => Op::Join {
-                t,
-                child: ThreadId::new(self.frame_id("thread id")?),
-            },
-            other => {
-                return Err(TraceReadError::malformed(
-                    self.frame_base + self.frame_pos as u64 - 1,
-                    format!("unknown operation tag {other}"),
-                ))
-            }
-        })
+        let Some(&tag) = Tag::ALL.get(tag as usize) else {
+            return Err(TraceReadError::malformed(
+                self.frame_base + self.frame_pos as u64 - 1,
+                format!("unknown operation tag {tag}"),
+            ));
+        };
+        let operand = match tag {
+            Tag::Read | Tag::Write => self.frame_id("variable id")?,
+            Tag::Acquire | Tag::Release => self.frame_id("lock id")?,
+            Tag::Begin => self.frame_id("label id")?,
+            Tag::End => 0,
+            Tag::Fork | Tag::Join => self.frame_id("thread id")?,
+        };
+        Ok(tag.build(t, operand))
     }
 
     /// Drains the remaining operations and assembles the [`Trace`],
@@ -480,6 +437,7 @@ fn read_varint<R: Read>(s: &mut ByteStream<R>) -> Result<u64, TraceReadError> {
 mod tests {
     use super::*;
     use crate::trace::TraceBuilder;
+    use crate::{LockId, VarId};
 
     fn sample_trace() -> Trace {
         let mut b = TraceBuilder::new();

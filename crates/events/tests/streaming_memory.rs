@@ -1,18 +1,23 @@
-//! Regression test: streaming JSON ingestion must hold bounded memory even
-//! for multi-hundred-megabyte traces.
+//! Regression tests: the JSON trace codec must hold bounded memory in both
+//! directions, however long the trace.
 //!
-//! The old CLI path slurped the whole file into a `String` and then built a
-//! JSON value tree — roughly 3× the input size in peak heap. The streaming
-//! reader must instead hold only its fixed 64 KiB buffer (plus the symbol
-//! table). We assert this with an allocation counter rather than OS RSS,
-//! which is noisy and platform-dependent.
+//! A value-tree codec slurps the whole file into a `String` and builds a
+//! JSON tree — roughly 3× the input size in peak heap — and renders a
+//! trace by building the same tree. The streaming reader must instead hold
+//! only its fixed 64 KiB buffer (plus the symbol table), and the writer
+//! only its 64 KiB output buffer. We assert this with an allocation counter
+//! rather than OS RSS, which is noisy and platform-dependent.
 //!
-//! This file intentionally contains a single test: a parallel test in the
-//! same process would pollute the allocator counters.
+//! The tests serialize on [`SERIAL`]: two tests measuring at once in the
+//! same process would pollute each other's allocator counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Read;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+use velodrome_events::{Op, ThreadId, Trace, VarId};
+
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Counts live heap bytes and tracks the high-water mark.
 struct CountingAlloc;
@@ -53,105 +58,61 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Procedurally generates the JSON text of an enormous trace, so the input
-/// itself never exists in memory either. The document is
-/// `{"ops":[...],"names":{...}}` with the ops section repeated to reach the
-/// requested size.
-struct SyntheticTraceJson {
-    /// Total ops to emit.
-    ops: usize,
-    /// Next op index to emit.
-    next: usize,
-    /// Leftover bytes of the current chunk.
-    pending: Vec<u8>,
-    pending_pos: usize,
-    state: State,
-}
-
-#[derive(PartialEq)]
-enum State {
-    Header,
-    Ops,
-    Footer,
-    Done,
-}
-
-impl SyntheticTraceJson {
-    fn new(ops: usize) -> Self {
-        Self {
-            ops,
-            next: 0,
-            pending: Vec::new(),
-            pending_pos: 0,
-            state: State::Header,
+/// Procedurally generates the JSON text of an enormous trace, 4096 ops per
+/// chunk, so the input itself never exists in memory either. The document
+/// is `{"ops":[...],"names":{...}}`.
+fn synthetic_trace_json(ops: usize) -> impl Read {
+    let header = b"{\"ops\":[".to_vec();
+    let body = (0..ops).step_by(4096).map(move |start| {
+        let mut chunk = Vec::new();
+        for i in start..(start + 4096).min(ops) {
+            if i > 0 {
+                chunk.push(b',');
+            }
+            let tag = if i % 2 == 0 { "Read" } else { "Write" };
+            let (t, x) = (i % 8, i % 1000);
+            chunk.extend_from_slice(format!("{{\"{tag}\":{{\"t\":{t},\"x\":{x}}}}}").as_bytes());
         }
-    }
-
-    fn refill(&mut self) {
-        self.pending.clear();
-        self.pending_pos = 0;
-        match self.state {
-            State::Header => {
-                self.pending.extend_from_slice(b"{\"ops\":[");
-                self.state = State::Ops;
-            }
-            State::Ops => {
-                if self.next >= self.ops {
-                    self.state = State::Footer;
-                    self.refill();
-                    return;
-                }
-                // Emit up to 4096 ops per chunk.
-                let end = (self.next + 4096).min(self.ops);
-                for i in self.next..end {
-                    if i > 0 {
-                        self.pending.push(b',');
-                    }
-                    let t = i % 8;
-                    let x = i % 1000;
-                    if i % 2 == 0 {
-                        self.pending.extend_from_slice(
-                            format!("{{\"Read\":{{\"t\":{t},\"x\":{x}}}}}").as_bytes(),
-                        );
-                    } else {
-                        self.pending.extend_from_slice(
-                            format!("{{\"Write\":{{\"t\":{t},\"x\":{x}}}}}").as_bytes(),
-                        );
-                    }
-                }
-                self.next = end;
-            }
-            State::Footer => {
-                self.pending.extend_from_slice(
-                    b"],\"names\":{\"threads\":{\"0\":\"main\"},\"vars\":{},\"locks\":{},\"labels\":{}}}",
-                );
-                self.state = State::Done;
-            }
-            State::Done => {}
-        }
+        chunk
+    });
+    let footer =
+        b"],\"names\":{\"threads\":{\"0\":\"main\"},\"vars\":{},\"locks\":{},\"labels\":{}}}"
+            .to_vec();
+    let chunks = std::iter::once(header)
+        .chain(body)
+        .chain(std::iter::once(footer));
+    ChunkReader {
+        chunks,
+        chunk: Vec::new(),
+        pos: 0,
     }
 }
 
-impl Read for SyntheticTraceJson {
+/// Reads a byte stream produced one chunk at a time.
+struct ChunkReader<I> {
+    chunks: I,
+    chunk: Vec<u8>,
+    pos: usize,
+}
+
+impl<I: Iterator<Item = Vec<u8>>> Read for ChunkReader<I> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        if self.pending_pos >= self.pending.len() {
-            if self.state == State::Done {
-                return Ok(0);
-            }
-            self.refill();
-            if self.pending.is_empty() && self.state == State::Done {
-                return Ok(0);
+        while self.pos == self.chunk.len() {
+            match self.chunks.next() {
+                Some(chunk) => (self.chunk, self.pos) = (chunk, 0),
+                None => return Ok(0),
             }
         }
-        let n = (self.pending.len() - self.pending_pos).min(buf.len());
-        buf[..n].copy_from_slice(&self.pending[self.pending_pos..self.pending_pos + n]);
-        self.pending_pos += n;
+        let n = (self.chunk.len() - self.pos).min(buf.len());
+        buf[..n].copy_from_slice(&self.chunk[self.pos..self.pos + n]);
+        self.pos += n;
         Ok(n)
     }
 }
 
 #[test]
 fn scan_holds_bounded_memory_on_a_multi_hundred_mb_trace() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     // ~8.4M ops at ~26 bytes each ≈ 220 MB of JSON text.
     const OPS: usize = 8_400_000;
 
@@ -170,7 +131,7 @@ fn scan_holds_bounded_memory_on_a_multi_hundred_mb_trace() {
     }
 
     let mut src = Counted {
-        inner: SyntheticTraceJson::new(OPS),
+        inner: synthetic_trace_json(OPS),
         bytes: 0,
     };
 
@@ -196,5 +157,31 @@ fn scan_holds_bounded_memory_on_a_multi_hundred_mb_trace() {
         peak_delta < 4 << 20,
         "peak allocation grew by {peak_delta} bytes while streaming {} bytes",
         src.bytes
+    );
+}
+
+#[test]
+fn write_holds_bounded_memory_on_a_million_op_trace() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const OPS: u32 = 1_200_000;
+    let trace: Trace = (0..OPS)
+        .map(|i| Op::Write {
+            t: ThreadId::new(i % 8),
+            x: VarId::new(i % 1000),
+        })
+        .collect();
+
+    // Only allocations beyond the trace itself count.
+    let before = CURRENT.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    velodrome_events::write_json_trace(std::io::sink(), &trace)
+        .expect("writing to a sink succeeds");
+    let peak_delta = PEAK.load(Ordering::Relaxed).saturating_sub(before);
+
+    // The 64 KiB output buffer; anything over the reader's 4 MiB bound
+    // means the writer is building the ~30 MB document.
+    assert!(
+        peak_delta < 4 << 20,
+        "peak allocation grew by {peak_delta} bytes while writing {OPS} ops"
     );
 }

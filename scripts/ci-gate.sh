@@ -76,6 +76,13 @@ cargo run --release -q -p velodrome-cli -- record multiset --seed=1 --scale=2 \
 cargo run --release -q -p velodrome-cli -- record multiset --seed=2 --scale=2 \
     --out="$tmp/batch/b.json" >/dev/null
 cargo run --release -q -p velodrome-cli -- convert "$tmp/batch/a.json" "$tmp/batch/a.vbt" >/dev/null
+# JSON -> VBT -> JSON through the CLI is byte-identical (kept outside the
+# batch directory so the report below still counts 3 traces).
+cargo run --release -q -p velodrome-cli -- convert "$tmp/batch/a.vbt" "$tmp/a2.json" >/dev/null
+if ! cmp "$tmp/batch/a.json" "$tmp/a2.json"; then
+    echo "batch smoke: JSON -> VBT -> JSON round trip is not byte-identical" >&2
+    exit 1
+fi
 cargo run --release -q -p velodrome-cli -- check-batch "$tmp/batch" --jobs=4 \
     --backend=velodrome-hybrid --report="$tmp/batch/report.jsonl" \
     --metrics-out="$tmp/batch/metrics.jsonl" >/dev/null
