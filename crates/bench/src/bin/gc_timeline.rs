@@ -7,38 +7,27 @@
 use velodrome::{Velodrome, VelodromeConfig};
 use velodrome_bench::{arg_u64, report};
 use velodrome_monitor::Tool;
-use velodrome_telemetry::{names, Telemetry};
 
 fn main() {
     let scale = arg_u64("scale", 8) as u32;
     let mut rows = Vec::new();
     for w in velodrome_workloads::all(scale) {
         let trace = w.run_round_robin();
-        let telemetry = Telemetry::registry();
-        let alive_hist = telemetry.histogram(names::ARENA_ALIVE_SAMPLE);
-        let mut engine = Velodrome::with_config(VelodromeConfig {
-            telemetry: telemetry.clone(),
-            ..VelodromeConfig::default()
-        });
+        let mut engine = Velodrome::with_config(VelodromeConfig::default());
         let sample_every = (trace.len() / 10).max(1);
         let mut samples: Vec<u64> = Vec::new();
         for (i, op) in trace.iter() {
             engine.op(i, op);
             if i % sample_every == 0 {
-                let alive = engine.alive_nodes() as u64;
-                alive_hist.record(alive);
-                samples.push(alive);
+                samples.push(engine.alive_nodes() as u64);
             }
         }
-        engine.publish_telemetry();
-        let snap = telemetry
-            .snapshot(0, trace.len() as u64)
-            .expect("telemetry registry enabled");
+        let stats = engine.stats();
         rows.push(vec![
             w.name.to_string(),
             report::count(trace.len() as u64),
-            report::count(snap.scalar(names::ARENA_ALLOCATED).unwrap_or(0)),
-            report::count(snap.scalar(names::ARENA_MAX_ALIVE).unwrap_or(0)),
+            report::count(stats.nodes_allocated),
+            report::count(stats.max_alive),
             samples
                 .iter()
                 .map(|s| s.to_string())

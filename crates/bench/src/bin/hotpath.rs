@@ -33,7 +33,6 @@ use velodrome_bench::hotpath::fanin_stress_trace;
 use velodrome_bench::{arg_u64, report};
 use velodrome_events::Trace;
 use velodrome_monitor::Tool;
-use velodrome_telemetry::{names, Telemetry};
 
 /// One engine run over a trace.
 #[derive(Debug, Serialize)]
@@ -91,9 +90,8 @@ struct WorkloadResult {
 fn run_engine(trace: &Trace, elide: bool) -> (EngineRun, String) {
     // The timed run keeps telemetry fully disabled — an enabled registry
     // arms the per-op phase timers, whose clock reads would taint the
-    // throughput comparison across PRs. The run's numbers are still read
-    // back through registry gauges: `publish_telemetry_to` mirrors the
-    // stats surface into a registry attached only after the clock stops.
+    // throughput comparison across PRs. The counts come from the engine's
+    // statistics after the clock stops.
     let cfg = VelodromeConfig {
         elide_redundant_edges: elide,
         names: trace.names().clone(),
@@ -106,13 +104,7 @@ fn run_engine(trace: &Trace, elide: bool) -> (EngineRun, String) {
     }
     let elapsed = start.elapsed();
     let warnings = engine.take_warnings();
-    let graph_ops = engine.stats().graph_ops();
-    let telemetry = Telemetry::registry();
-    engine.publish_telemetry_to(&telemetry);
-    let snap = telemetry
-        .snapshot(0, trace.len() as u64)
-        .expect("telemetry registry enabled");
-    let gauge = |name: &str| snap.scalar(name).unwrap_or(0);
+    let stats = engine.stats();
     let fingerprint = format!(
         "{}|{}",
         serde_json::to_string(&warnings).expect("warnings serialize"),
@@ -122,12 +114,12 @@ fn run_engine(trace: &Trace, elide: bool) -> (EngineRun, String) {
         events: trace.len() as u64,
         millis: elapsed.as_millis() as u64,
         ops_per_sec: (trace.len() as f64 / elapsed.as_secs_f64()) as u64,
-        edges_added: gauge(names::ARENA_EDGES_ADDED),
-        edges_elided: gauge(names::ARENA_EDGES_ELIDED),
-        epoch_hits: gauge(names::ENGINE_EPOCH_HITS),
+        edges_added: stats.edges_added,
+        edges_elided: stats.edges_elided,
+        epoch_hits: stats.epoch_hits,
         warnings: warnings.len(),
-        cycles_detected: gauge(names::ENGINE_CYCLES_DETECTED),
-        graph_ops,
+        cycles_detected: stats.cycles_detected,
+        graph_ops: stats.graph_ops(),
     };
     (run, fingerprint)
 }

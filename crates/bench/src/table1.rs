@@ -10,10 +10,10 @@
 use crate::{report, run_backend};
 use serde::Serialize;
 use std::time::Instant;
-use velodrome_cli::backend::Settings;
+use velodrome_cli::backend::{Analysis, Settings};
 use velodrome_events::{Op, Trace};
 use velodrome_monitor::AtomicitySpec;
-use velodrome_telemetry::{names, Snapshot, Telemetry};
+use velodrome_telemetry::names;
 use velodrome_workloads::Workload;
 
 /// The backends timed in the paper's Table 1, in column order. The first
@@ -59,22 +59,6 @@ pub fn exclusion_spec(workload: &Workload, trace: &Trace) -> AtomicitySpec {
     AtomicitySpec::excluding(excluded)
 }
 
-/// Runs backend `name` under `spec` against a fresh telemetry registry and
-/// returns the final snapshot: the node-statistics columns are read from
-/// its `arena.*` gauges. Untimed, since the registry costs time.
-pub fn registry_run(name: &str, trace: &Trace, spec: &AtomicitySpec) -> Snapshot {
-    let settings = Settings {
-        telemetry: Telemetry::registry(),
-        spec: Some(spec.clone()),
-        ..Settings::default()
-    };
-    run_backend(name, trace, &settings);
-    settings
-        .telemetry
-        .snapshot(0, trace.len() as u64)
-        .expect("telemetry registry enabled")
-}
-
 /// Runs the Table 1 measurement for one workload.
 ///
 /// `repeats` re-runs each timed backend and keeps the fastest measurement
@@ -83,7 +67,7 @@ pub fn measure(workload: &Workload, repeats: u32) -> Table1Row {
     let trace = workload.run_round_robin();
     let spec = exclusion_spec(workload, &trace);
     let timed = Settings {
-        spec: Some(spec.clone()),
+        spec: Some(spec),
         ..Settings::default()
     };
     let ns_per_op = TIMED.map(|name| {
@@ -98,9 +82,10 @@ pub fn measure(workload: &Workload, repeats: u32) -> Table1Row {
     let empty = ns_per_op[0].max(1e-9);
     let rel_overhead = ns_per_op.map(|ns| ns / empty);
 
-    let without = registry_run("velodrome-nomerge", &trace, &spec);
-    let with = registry_run("velodrome", &trace, &spec);
-    let gauge = |snap: &Snapshot, name: &str| snap.scalar(name).unwrap_or(0);
+    // The node columns are the runs' final statistics (`Analysis::stats`).
+    let without = run_backend("velodrome-nomerge", &trace, &timed);
+    let with = run_backend("velodrome", &trace, &timed);
+    let stat = |run: &Analysis, name: &str| run.stat(name).unwrap_or(0);
 
     Table1Row {
         name: workload.name.to_string(),
@@ -108,10 +93,10 @@ pub fn measure(workload: &Workload, repeats: u32) -> Table1Row {
         events: trace.len(),
         ns_per_op,
         rel_overhead,
-        alloc_without_merge: gauge(&without, names::ARENA_ALLOCATED),
-        alive_without_merge: gauge(&without, names::ARENA_MAX_ALIVE),
-        alloc_with_merge: gauge(&with, names::ARENA_ALLOCATED),
-        alive_with_merge: gauge(&with, names::ARENA_MAX_ALIVE),
+        alloc_without_merge: stat(&without, names::ARENA_ALLOCATED),
+        alive_without_merge: stat(&without, names::ARENA_MAX_ALIVE),
+        alloc_with_merge: stat(&with, names::ARENA_ALLOCATED),
+        alive_with_merge: stat(&with, names::ARENA_MAX_ALIVE),
     }
 }
 

@@ -16,7 +16,7 @@ use velodrome_monitor::{
     run_tool, AtomicitySpec, DegradationLevel, EmptyTool, ResourceBudget, SpecFilter, Tool, Warning,
 };
 use velodrome_sim::WatchdogStats;
-use velodrome_telemetry::{JsonlExporter, SnapshotRing, Telemetry};
+use velodrome_telemetry::{JsonlExporter, Telemetry};
 use velodrome_vclock::HbRaceDetector;
 
 /// Warnings plus analysis-health notes (budget suppression, degradation,
@@ -27,6 +27,20 @@ pub struct Analysis {
     pub warnings: Vec<Warning>,
     /// Analysis-health notes.
     pub notes: Vec<String>,
+    /// The final `gauges()` of a metered backend's statistics: the values
+    /// its last `--metrics-out` snapshot carries. Empty for the others.
+    pub stats: Vec<(&'static str, u64)>,
+}
+
+impl Analysis {
+    /// The final value of the statistics gauge `name`, if the backend
+    /// reports it.
+    pub fn stat(&self, name: &str) -> Option<u64> {
+        self.stats
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .map(|&(_, v)| v)
+    }
 }
 
 /// Where `--metrics-out` snapshots go.
@@ -54,9 +68,10 @@ pub struct Settings {
     pub max_vars: usize,
     /// Hybrid escalation-replay window (`--window`; 0 = unbounded).
     pub window: usize,
-    /// Registry the engines time their phases into. When it is enabled and
-    /// no `metrics` file is requested, metered backends publish their final
-    /// gauges into it after the run.
+    /// Registry the engines time their phases and count live events into.
+    /// Metered backends publish their statistics into it only before each
+    /// `metrics` snapshot; the final values are always in
+    /// [`Analysis::stats`].
     pub telemetry: Telemetry,
     /// Check only the blocks this spec selects (the Table 1
     /// configuration); `None` checks every block.
@@ -71,8 +86,8 @@ pub struct Settings {
 pub struct Backend {
     /// The name `--backend=` takes.
     pub name: &'static str,
-    /// Whether the backend publishes the engine's telemetry, i.e. accepts
-    /// `--metrics-out`.
+    /// Whether the backend reports statistics ([`Analysis::stats`]), i.e.
+    /// accepts `--metrics-out`.
     pub metered: bool,
     /// Runs the backend over one trace.
     pub run: fn(&Trace, &Settings) -> Result<Analysis, CliError>,
@@ -149,30 +164,30 @@ pub(crate) fn select(name: &str, metrics: bool) -> Result<&'static Backend, CliE
     Ok(backend)
 }
 
-/// Publishes a tool's statistics into a registry.
-type Publish<'a, T> = &'a dyn Fn(&T, &Telemetry);
+/// A metered tool's statistics, as its stats struct's `gauges()` table.
+type Gauges<'a, T> = &'a dyn Fn(&T) -> Vec<(&'static str, u64)>;
 
 /// Runs `tool` over the trace as `settings` asks — through the spec
-/// filter when a spec is set, metered when the tool can publish — and
+/// filter when a spec is set, metered when the tool has gauges — and
 /// hands the tool back for its final statistics.
 fn drive<T: Tool>(
     tool: T,
     trace: &Trace,
     settings: &Settings,
-    publish: Option<Publish<'_, T>>,
+    gauges: Option<Gauges<'_, T>>,
 ) -> Result<(T, Analysis), CliError> {
     let Some(spec) = &settings.spec else {
         let mut tool = tool;
-        let analysis = feed(&mut tool, trace, settings, publish)?;
+        let analysis = feed(&mut tool, trace, settings, gauges)?;
         return Ok((tool, analysis));
     };
     let mut filtered = SpecFilter::new(spec.clone(), tool);
-    let inner = publish.map(|p| move |f: &SpecFilter<T>, t: &Telemetry| p(f.inner(), t));
+    let inner = gauges.map(|g| move |f: &SpecFilter<T>| g(f.inner()));
     let analysis = feed(
         &mut filtered,
         trace,
         settings,
-        inner.as_ref().map(|p| p as Publish<'_, SpecFilter<T>>),
+        inner.as_ref().map(|g| g as Gauges<'_, SpecFilter<T>>),
     )?;
     Ok((filtered.into_inner(), analysis))
 }
@@ -181,58 +196,50 @@ fn feed<T: Tool>(
     tool: &mut T,
     trace: &Trace,
     settings: &Settings,
-    publish: Option<Publish<'_, T>>,
+    gauges: Option<Gauges<'_, T>>,
 ) -> Result<Analysis, CliError> {
     let mut notes = Vec::new();
-    let warnings = match (publish, &settings.metrics) {
-        (Some(publish), Some(metrics)) => {
-            let (warnings, lines) = run_metered(tool, trace, settings, metrics, publish)?;
+    let warnings = match (gauges, &settings.metrics) {
+        (Some(gauges), Some(metrics)) => {
+            let (warnings, lines) = run_metered(tool, trace, settings, metrics, gauges)?;
             notes.push(format!(
                 "{lines} metric snapshots written to {}",
                 metrics.path
             ));
             warnings
         }
-        (Some(publish), None) => {
-            let warnings = run_tool(tool, trace);
-            // A caller-provided registry without a metrics file (the batch
-            // runner, the bench) still wants the final gauges.
-            if settings.telemetry.is_enabled() {
-                publish(tool, &settings.telemetry);
-            }
-            warnings
-        }
-        (None, _) => run_tool(tool, trace),
+        _ => run_tool(tool, trace),
     };
-    Ok(Analysis { warnings, notes })
+    let stats = gauges.map_or_else(Vec::new, |g| g(tool));
+    Ok(Analysis {
+        warnings,
+        notes,
+        stats,
+    })
 }
 
-/// Drives the tool over the trace one operation at a time, mirroring the
-/// registry into a JSONL file every `interval` events (plus a final
-/// snapshot, so at least one line is always written). Also keeps the last
-/// few snapshots in a [`SnapshotRing`], matching how a long-running monitor
-/// would retain recent history.
+/// Drives the tool over the trace one operation at a time, publishing its
+/// gauges and writing a registry snapshot to a JSONL file every `interval`
+/// events (plus a final snapshot, so at least one line is always written).
 fn run_metered<T: Tool>(
     tool: &mut T,
     trace: &Trace,
     settings: &Settings,
     metrics: &Metrics,
-    publish: Publish<'_, T>,
+    gauges: Gauges<'_, T>,
 ) -> Result<(Vec<Warning>, u64), CliError> {
     let path = metrics.path.as_str();
     let telemetry = &settings.telemetry;
     let file = std::fs::File::create(path).map_err(|e| io_err(format!("creating {path}: {e}")))?;
     let mut exporter = JsonlExporter::new(std::io::BufWriter::new(file));
-    let mut ring = SnapshotRing::new(64);
     let mut seq = 0u64;
     let mut emit = |tool: &T, events: u64| -> Result<(), CliError> {
-        publish(tool, telemetry);
-        metrics.watchdog.publish(telemetry);
+        telemetry.publish(&gauges(tool));
+        telemetry.publish(&metrics.watchdog.gauges());
         if let Some(snap) = telemetry.snapshot(seq, events) {
             exporter
                 .export(&snap)
                 .map_err(|e| io_err(format!("writing {path}: {e}")))?;
-            ring.push(snap);
             seq += 1;
         }
         Ok(())
@@ -270,7 +277,7 @@ fn run_velodrome(trace: &Trace, settings: &Settings, merge: bool) -> Result<Anal
         engine,
         trace,
         settings,
-        Some(&Velodrome::publish_telemetry_to),
+        Some(&|engine: &Velodrome| engine.stats().gauges()),
     )?;
     let stats = engine.stats();
     if stats.warnings_suppressed > 0 {
@@ -303,7 +310,7 @@ fn run_hybrid(
         checker,
         trace,
         settings,
-        Some(&HybridVelodrome::publish_telemetry_to),
+        Some(&|checker: &HybridVelodrome| checker.stats().gauges()),
     )?;
     let stats = checker.stats();
     analysis.notes.push(match stats.escalated_at {
@@ -392,6 +399,7 @@ fn all(trace: &Trace, settings: &Settings) -> Result<Analysis, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
     use velodrome_events::TraceBuilder;
     use velodrome_telemetry::names;
 
@@ -407,16 +415,10 @@ mod tests {
         (lookup(name).unwrap().run)(trace, settings).unwrap()
     }
 
-    /// Runs `name` against a fresh registry and returns the warning count
-    /// and one final gauge.
+    /// Runs `name` and returns the warning count and one final gauge.
     fn gauge_run(name: &str, trace: &Trace, gauge: &str) -> (usize, u64) {
-        let settings = Settings {
-            telemetry: Telemetry::registry(),
-            ..Settings::default()
-        };
-        let warnings = run(name, trace, &settings).warnings.len();
-        let snap = settings.telemetry.snapshot(0, trace.len() as u64).unwrap();
-        (warnings, snap.scalar(gauge).unwrap())
+        let analysis = run(name, trace, &Settings::default());
+        (analysis.warnings.len(), analysis.stat(gauge).unwrap())
     }
 
     #[test]
@@ -474,6 +476,53 @@ mod tests {
         let aero = run("aerodrome", &trace, &Settings::default());
         assert_eq!(aero.warnings.len(), pure.warnings.len());
         assert!(aero.warnings.iter().all(|w| w.tool == "aerodrome"));
+    }
+
+    /// The two ways out of the stats surface agree: a metered backend's
+    /// final `--metrics-out` snapshot carries exactly its `Analysis::stats`
+    /// (plus the scheduler's watchdog gauges) as gauges.
+    #[test]
+    fn metrics_out_gauges_equal_analysis_stats() {
+        let trace = rmw_trace();
+        let dir = std::env::temp_dir().join("velodrome-backend-stats");
+        std::fs::create_dir_all(&dir).unwrap();
+        let watchdog = WatchdogStats {
+            pauses_issued: 3,
+            forced_deadline: 1,
+            ..WatchdogStats::default()
+        };
+        for backend in BACKENDS.iter().filter(|b| b.metered) {
+            let path = dir.join(format!("{}.jsonl", backend.name));
+            let settings = Settings {
+                telemetry: Telemetry::registry(),
+                metrics: Some(Metrics {
+                    path: path.display().to_string(),
+                    interval: 2,
+                    watchdog,
+                }),
+                ..Settings::default()
+            };
+            let analysis = (backend.run)(&trace, &settings).unwrap();
+            assert!(!analysis.stats.is_empty(), "{}", backend.name);
+            let text = std::fs::read_to_string(&path).unwrap();
+            let last: serde_json::Value =
+                serde_json::from_str(text.lines().last().unwrap()).unwrap();
+            let exported: BTreeMap<String, u64> = last["metrics"]
+                .as_object()
+                .unwrap()
+                .iter()
+                .filter(|(name, m)| m["type"] == "gauge" && !name.starts_with("phase."))
+                .map(|(name, m)| (name.clone(), m["value"].as_u64().unwrap()))
+                .collect();
+            let expected: BTreeMap<String, u64> = analysis
+                .stats
+                .iter()
+                .chain(&watchdog.gauges())
+                .map(|&(name, v)| (name.to_owned(), v))
+                .collect();
+            assert_eq!(exported, expected, "{}", backend.name);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -146,6 +146,20 @@ impl BatchReport {
         self.events() * 1000 / self.wall_millis
     }
 
+    /// The `batch.*` gauges: the one place the report's aggregates are
+    /// paired with their [`names`].
+    pub fn gauges(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            (names::BATCH_TRACES_CHECKED, self.ok() as u64),
+            (names::BATCH_TRACES_FAILED, self.failed() as u64),
+            (names::BATCH_TRACES_QUARANTINED, self.quarantined() as u64),
+            (names::BATCH_EVENTS_TOTAL, self.events()),
+            (names::BATCH_EVENTS_PER_SEC, self.events_per_sec()),
+            (names::BATCH_WARNINGS_TOTAL, self.warnings_total()),
+            (names::BATCH_JOBS, self.jobs as u64),
+        ]
+    }
+
     /// Renders the machine-readable report: one JSON line per trace (in
     /// input order), then one `{"summary":…}` line.
     pub fn to_jsonl(&self) -> String {
@@ -265,10 +279,11 @@ fn check_one(
             Ok(Ok(analysis)) => analysis,
         };
     let snapshot = if collect_metrics {
+        telemetry.publish(&analysis.stats);
         // Batch runs have no scheduler, but the single-trace snapshot
         // contract includes the watchdog gauges; publish explicit zeros so
         // `metrics-verify` holds for batch metrics too.
-        WatchdogStats::default().publish(telemetry);
+        telemetry.publish(&WatchdogStats::default().gauges());
         telemetry.snapshot(0, trace.len() as u64)
     } else {
         None
@@ -285,10 +300,20 @@ fn check_one(
     (outcome, snapshot)
 }
 
+/// Gauges that hold a level or a peak rather than an amount: a batch's
+/// value is its largest trace's, as a sum of ladder rungs or of per-trace
+/// peaks means nothing.
+const MAX_MERGED: [&str; 3] = [
+    names::ENGINE_LADDER,
+    names::ARENA_MAX_ALIVE,
+    names::HYBRID_BUFFERED_EVENTS,
+];
+
 /// Merges `from` into the accumulated batch metrics: counters and gauges
-/// add, phases and histograms combine their summaries. (Summing gauges is
-/// the useful batch semantics: `arena.allocated` over the batch is total
-/// allocation, not one arbitrary trace's.)
+/// add (except the [`MAX_MERGED`] gauges, which keep the maximum), phases
+/// combine their summaries. (Summing gauges is the useful batch semantics
+/// for amounts: `arena.allocated` over the batch is total allocation, not
+/// one arbitrary trace's.)
 fn merge_metrics(into: &mut BTreeMap<String, MetricValue>, from: &Snapshot) {
     for (name, value) in &from.metrics {
         match into.entry(name.clone()) {
@@ -298,7 +323,13 @@ fn merge_metrics(into: &mut BTreeMap<String, MetricValue>, from: &Snapshot) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 match (e.get_mut(), value) {
                     (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
+                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => {
+                        if MAX_MERGED.contains(&name.as_str()) {
+                            *a = (*a).max(*b);
+                        } else {
+                            *a += b;
+                        }
+                    }
                     (
                         MetricValue::Phase {
                             count,
@@ -314,30 +345,6 @@ fn merge_metrics(into: &mut BTreeMap<String, MetricValue>, from: &Snapshot) {
                         *count += c2;
                         *total_nanos += t2;
                         *max_nanos = (*max_nanos).max(*m2);
-                    }
-                    (
-                        MetricValue::Histogram {
-                            count,
-                            sum,
-                            max,
-                            buckets,
-                        },
-                        MetricValue::Histogram {
-                            count: c2,
-                            sum: s2,
-                            max: m2,
-                            buckets: b2,
-                        },
-                    ) => {
-                        *count += c2;
-                        *sum += s2;
-                        *max = (*max).max(*m2);
-                        if buckets.len() < b2.len() {
-                            buckets.resize(b2.len(), 0);
-                        }
-                        for (slot, b) in buckets.iter_mut().zip(b2) {
-                            *slot += b;
-                        }
                     }
                     // Mismatched shapes under one name cannot happen with
                     // our registries; keep the first value if they do.
@@ -390,34 +397,9 @@ pub fn run_batch(cfg: &BatchConfig) -> Result<BatchReport, CliError> {
         merged: None,
     };
     if cfg.settings.metrics.is_some() {
-        metrics.insert(
-            names::BATCH_TRACES_CHECKED.into(),
-            MetricValue::Gauge(report.ok() as u64),
-        );
-        metrics.insert(
-            names::BATCH_TRACES_FAILED.into(),
-            MetricValue::Gauge(report.failed() as u64),
-        );
-        metrics.insert(
-            names::BATCH_TRACES_QUARANTINED.into(),
-            MetricValue::Gauge(report.quarantined() as u64),
-        );
-        metrics.insert(
-            names::BATCH_EVENTS_TOTAL.into(),
-            MetricValue::Gauge(report.events()),
-        );
-        metrics.insert(
-            names::BATCH_EVENTS_PER_SEC.into(),
-            MetricValue::Gauge(report.events_per_sec()),
-        );
-        metrics.insert(
-            names::BATCH_WARNINGS_TOTAL.into(),
-            MetricValue::Gauge(report.warnings_total()),
-        );
-        metrics.insert(
-            names::BATCH_JOBS.into(),
-            MetricValue::Gauge(cfg.jobs as u64),
-        );
+        for (name, value) in report.gauges() {
+            metrics.insert(name.into(), MetricValue::Gauge(value));
+        }
         report.merged = Some(Snapshot {
             seq: 0,
             events: report.events(),
@@ -759,6 +741,67 @@ mod tests {
         assert_eq!(gauge("batch.traces_checked"), Some(4), "{snap:?}");
         assert_eq!(gauge("batch.traces_failed"), Some(1), "{snap:?}");
         assert_eq!(gauge("batch.jobs"), Some(2), "{snap:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Level and peak gauges merge by max, amounts by sum: the merged
+    /// snapshot's `engine.ladder`, `arena.max_alive` and
+    /// `hybrid.buffered_events` are the largest per-trace values, never a
+    /// sum of them.
+    #[test]
+    fn check_batch_merges_level_and_peak_gauges_by_max() {
+        let dir = scratch_dir("batch-max-merge");
+        record_corpus(&dir);
+        let final_gauges = |path: &Path| -> serde_json::Value {
+            let text = std::fs::read_to_string(path).unwrap();
+            let last: serde_json::Value =
+                serde_json::from_str(text.lines().last().unwrap()).unwrap();
+            last["metrics"].clone()
+        };
+        let gauge = |m: &serde_json::Value, name: &str| m[name]["value"].as_u64().unwrap();
+        for flags in [&["--max-alive=2"][..], &["--backend=velodrome-hybrid"]] {
+            let merged_path = dir.join("merged.jsonl");
+            let out = run(&[
+                &["check-batch", dir.to_str().unwrap(), "--jobs=2"][..],
+                flags,
+                &[&format!("--metrics-out={}", merged_path.display())],
+            ]
+            .concat())
+            .unwrap();
+            let merged = final_gauges(&merged_path);
+            let per_trace: Vec<serde_json::Value> = out
+                .lines()
+                .filter(|l| l.contains("\"path\""))
+                .map(|line| {
+                    let v: serde_json::Value = serde_json::from_str(line).unwrap();
+                    let single = dir.join("single.jsonl");
+                    run(&[
+                        &["trace", v["path"].as_str().unwrap()][..],
+                        flags,
+                        &[&format!("--metrics-out={}", single.display())],
+                    ]
+                    .concat())
+                    .unwrap();
+                    final_gauges(&single)
+                })
+                .collect();
+            assert_eq!(per_trace.len(), 4, "{out}");
+            let mut peaked = false;
+            for name in MAX_MERGED {
+                if merged[name].is_null() {
+                    continue;
+                }
+                let max = per_trace.iter().map(|m| gauge(m, name)).max().unwrap();
+                assert_eq!(gauge(&merged, name), max, "{flags:?}: {name}");
+                peaked |= max > 0;
+            }
+            assert!(peaked, "{flags:?}: every level/peak gauge is zero");
+            let total: u64 = per_trace
+                .iter()
+                .map(|m| gauge(m, names::ARENA_ALLOCATED))
+                .sum();
+            assert_eq!(gauge(&merged, names::ARENA_ALLOCATED), total, "{flags:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

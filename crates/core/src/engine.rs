@@ -91,9 +91,9 @@ pub struct VelodromeConfig {
     /// Telemetry registry the engine reports into (default: the disabled
     /// no-op handle — zero overhead, see the `velodrome-telemetry` crate).
     /// When enabled, the engine registers phase timers around its hot spots
-    /// plus counters for arena capacity failures and ladder transitions,
-    /// and [`Velodrome::publish_telemetry`] mirrors the full
-    /// [`VelodromeStats`]/[`crate::arena::ArenaStats`] surface as gauges.
+    /// plus counters for arena capacity failures and ladder transitions;
+    /// the rest of its surface is [`VelodromeStats::gauges`], which callers
+    /// publish before each snapshot.
     pub telemetry: Telemetry,
 }
 
@@ -158,10 +158,14 @@ pub struct VelodromeStats {
     pub nodes_allocated: u64,
     /// Peak simultaneously-alive nodes (Table 1 "Max. Alive").
     pub max_alive: u64,
+    /// Currently alive nodes.
+    pub cur_alive: u64,
     /// Nodes reclaimed by GC.
     pub collected: u64,
     /// Happens-before edges inserted.
     pub edges_added: u64,
+    /// Edge insertions that only refreshed timestamps of an existing edge.
+    pub edges_replaced: u64,
     /// Edges skipped by the arena's redundant-edge elision gate.
     pub edges_elided: u64,
     /// Edge insertions short-circuited by the per-thread epoch cache
@@ -193,6 +197,30 @@ impl VelodromeStats {
     /// across backends.
     pub fn graph_ops(&self) -> u64 {
         self.nodes_allocated + self.edges_added + self.edges_elided
+    }
+
+    /// The `arena.*` and `engine.*` gauges: the one place these fields are
+    /// paired with their [`names`]. The live counters (`arena.exhausted`,
+    /// `arena.ts_overflow`, `engine.degradations`) are not gauges and are
+    /// not listed.
+    pub fn gauges(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            (names::ARENA_ALLOCATED, self.nodes_allocated),
+            (names::ARENA_MAX_ALIVE, self.max_alive),
+            (names::ARENA_CUR_ALIVE, self.cur_alive),
+            (names::ARENA_COLLECTED, self.collected),
+            (names::ARENA_EDGES_ADDED, self.edges_added),
+            (names::ARENA_EDGES_REPLACED, self.edges_replaced),
+            (names::ARENA_EDGES_ELIDED, self.edges_elided),
+            (names::ENGINE_OPS, self.ops),
+            (names::ENGINE_EPOCH_HITS, self.epoch_hits),
+            (names::ENGINE_MERGES_REUSED, self.merges_reused),
+            (names::ENGINE_MERGES_BOTTOM, self.merges_bottom),
+            (names::ENGINE_CYCLES_DETECTED, self.cycles_detected),
+            (names::ENGINE_WARNINGS_SUPPRESSED, self.warnings_suppressed),
+            (names::ENGINE_VARS_QUARANTINED, self.vars_quarantined),
+            (names::ENGINE_LADDER, self.ladder.rung()),
+        ]
     }
 }
 
@@ -340,49 +368,13 @@ impl Velodrome {
         VelodromeStats {
             nodes_allocated: a.allocated,
             max_alive: a.max_alive,
+            cur_alive: a.cur_alive,
             collected: a.collected,
             edges_added: a.edges_added,
+            edges_replaced: a.edges_replaced,
             edges_elided: a.edges_elided,
             ..self.stats
         }
-    }
-
-    /// Mirrors the engine's statistics surface into the configured
-    /// telemetry registry as gauges under the stable names in
-    /// [`velodrome_telemetry::names`]. The counters the engine updates live
-    /// (`arena.exhausted`, `arena.ts_overflow`, `engine.degradations`) are
-    /// not touched. A no-op when telemetry is disabled; callers invoke this
-    /// before each snapshot (pull-model publishing keeps the hot path free
-    /// of per-op gauge stores).
-    pub fn publish_telemetry(&self) {
-        self.publish_telemetry_to(&self.cfg.telemetry);
-    }
-
-    /// [`publish_telemetry`](Self::publish_telemetry) into an explicit
-    /// registry. Lets a benchmark run the engine with telemetry fully
-    /// disabled (no per-op phase-timer clock reads) and still read the
-    /// run's final numbers back through registry gauges.
-    pub fn publish_telemetry_to(&self, t: &Telemetry) {
-        if !t.is_enabled() {
-            return;
-        }
-        let a = self.arena.stats();
-        t.set_gauge(names::ARENA_ALLOCATED, a.allocated);
-        t.set_gauge(names::ARENA_MAX_ALIVE, a.max_alive);
-        t.set_gauge(names::ARENA_CUR_ALIVE, a.cur_alive);
-        t.set_gauge(names::ARENA_COLLECTED, a.collected);
-        t.set_gauge(names::ARENA_EDGES_ADDED, a.edges_added);
-        t.set_gauge(names::ARENA_EDGES_REPLACED, a.edges_replaced);
-        t.set_gauge(names::ARENA_EDGES_ELIDED, a.edges_elided);
-        let s = &self.stats;
-        t.set_gauge(names::ENGINE_OPS, s.ops);
-        t.set_gauge(names::ENGINE_EPOCH_HITS, s.epoch_hits);
-        t.set_gauge(names::ENGINE_MERGES_REUSED, s.merges_reused);
-        t.set_gauge(names::ENGINE_MERGES_BOTTOM, s.merges_bottom);
-        t.set_gauge(names::ENGINE_CYCLES_DETECTED, s.cycles_detected);
-        t.set_gauge(names::ENGINE_WARNINGS_SUPPRESSED, s.warnings_suppressed);
-        t.set_gauge(names::ENGINE_VARS_QUARANTINED, s.vars_quarantined);
-        t.set_gauge(names::ENGINE_LADDER, s.ladder.rung());
     }
 
     /// Full cycle reports collected so far (not drained by

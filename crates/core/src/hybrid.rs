@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use velodrome_events::Op;
 use velodrome_monitor::tool::{replay_ops, Tool, Warning, WarningCategory};
-use velodrome_telemetry::{names, Telemetry};
+use velodrome_telemetry::names;
 use velodrome_vclock::{AeroDrome, AeroDromeStats};
 
 /// Configuration for the two-tier checker.
@@ -85,6 +85,33 @@ impl HybridStats {
     /// after escalation.
     pub fn graph_ops(&self) -> u64 {
         self.engine.map(|e| e.graph_ops()).unwrap_or(0)
+    }
+
+    /// The `aerodrome.*` screen gauges, the `hybrid.*` gauges, and the
+    /// engine's [`VelodromeStats::gauges`]. While the screen holds, the
+    /// engine surface is published anyway — zeros, except the real op
+    /// count — so metrics contracts written against pure Velodrome keep
+    /// verifying against hybrid runs.
+    pub fn gauges(&self) -> Vec<(&'static str, u64)> {
+        let s = &self.screen;
+        let mut gauges = vec![
+            (names::AERODROME_EVENTS, s.events),
+            (names::AERODROME_JOINS, s.joins),
+            (names::AERODROME_LIVE_JOINS, s.live_joins),
+            (names::AERODROME_EPOCH_HITS, s.epoch_hits),
+            (names::AERODROME_VIOLATIONS, s.violations),
+            (names::AERODROME_POTENTIAL_FLAGS, s.potential_flags),
+            (names::HYBRID_ESCALATIONS, self.escalations),
+            (names::HYBRID_BUFFERED_EVENTS, self.buffered_peak),
+            (names::HYBRID_TRUNCATED_EVENTS, self.truncated),
+            (names::HYBRID_GRAPH_OPS, self.graph_ops()),
+        ];
+        let engine = self.engine.unwrap_or(VelodromeStats {
+            ops: self.ops,
+            ..VelodromeStats::default()
+        });
+        gauges.extend(engine.gauges());
+        gauges
     }
 }
 
@@ -226,54 +253,6 @@ impl HybridVelodrome {
         let buffered: Vec<(usize, Op)> = self.buffer.drain(..).collect();
         replay_ops(&mut engine, &buffered);
         self.engine = Some(engine);
-    }
-
-    /// Mirrors the checker's statistics into a telemetry registry under
-    /// the stable names in [`velodrome_telemetry::names`]. The engine's
-    /// gauge surface is always published — zeroed while the screen holds —
-    /// so metrics contracts written against pure Velodrome keep verifying
-    /// against hybrid runs.
-    pub fn publish_telemetry_to(&self, t: &Telemetry) {
-        if !t.is_enabled() {
-            return;
-        }
-        let s = self.screen.stats();
-        t.set_gauge(names::AERODROME_EVENTS, s.events);
-        t.set_gauge(names::AERODROME_JOINS, s.joins);
-        t.set_gauge(names::AERODROME_LIVE_JOINS, s.live_joins);
-        t.set_gauge(names::AERODROME_EPOCH_HITS, s.epoch_hits);
-        t.set_gauge(names::AERODROME_VIOLATIONS, s.violations);
-        t.set_gauge(names::AERODROME_POTENTIAL_FLAGS, s.potential_flags);
-        t.set_gauge(names::HYBRID_ESCALATIONS, self.escalations);
-        t.set_gauge(names::HYBRID_BUFFERED_EVENTS, self.buffered_peak);
-        t.set_gauge(names::HYBRID_TRUNCATED_EVENTS, self.truncated);
-        t.set_gauge(names::HYBRID_GRAPH_OPS, self.stats().graph_ops());
-        match &self.engine {
-            Some(e) => e.publish_telemetry_to(t),
-            None => {
-                // Dormant engine: publish its surface as explicit zeros.
-                for name in [
-                    names::ARENA_ALLOCATED,
-                    names::ARENA_MAX_ALIVE,
-                    names::ARENA_CUR_ALIVE,
-                    names::ARENA_COLLECTED,
-                    names::ARENA_EDGES_ADDED,
-                    names::ARENA_EDGES_REPLACED,
-                    names::ARENA_EDGES_ELIDED,
-                    names::ENGINE_EPOCH_HITS,
-                    names::ENGINE_MERGES_REUSED,
-                    names::ENGINE_MERGES_BOTTOM,
-                    names::ENGINE_CYCLES_DETECTED,
-                    names::ENGINE_WARNINGS_SUPPRESSED,
-                    names::ENGINE_VARS_QUARANTINED,
-                    names::ENGINE_LADDER,
-                ] {
-                    t.set_gauge(name, 0);
-                }
-                // The op count is real even while the engine is dormant.
-                t.set_gauge(names::ENGINE_OPS, self.ops);
-            }
-        }
     }
 }
 
@@ -496,12 +475,14 @@ mod tests {
 
     #[test]
     fn telemetry_surface_is_published_even_while_dormant() {
+        use std::collections::BTreeSet;
+        use velodrome_telemetry::Telemetry;
         let t = Telemetry::registry();
         let trace = serializable_trace();
         let mut h = HybridVelodrome::new();
         run_tool(&mut h, &trace);
         assert!(!h.escalated());
-        h.publish_telemetry_to(&t);
+        t.publish(&h.stats().gauges());
         let snap = t.snapshot(0, h.stats().ops).unwrap();
         let get = |n: &str| match snap.metrics.get(n) {
             Some(velodrome_telemetry::MetricValue::Gauge(v)) => *v,
@@ -511,5 +492,21 @@ mod tests {
         assert_eq!(get(names::ARENA_ALLOCATED), 0);
         assert_eq!(get(names::ENGINE_OPS), h.stats().ops);
         assert!(get(names::AERODROME_JOINS) > 0);
+
+        // Dormant or escalated, the engine part of the surface is exactly
+        // the pure engine's.
+        let engine_names = |gauges: Vec<(&'static str, u64)>| -> BTreeSet<&'static str> {
+            gauges
+                .into_iter()
+                .map(|(name, _)| name)
+                .filter(|name| name.starts_with("arena.") || name.starts_with("engine."))
+                .collect()
+        };
+        let pure = engine_names(VelodromeStats::default().gauges());
+        assert_eq!(engine_names(h.stats().gauges()), pure);
+        let mut escalated = HybridVelodrome::new();
+        run_tool(&mut escalated, &violating_trace());
+        assert!(escalated.escalated());
+        assert_eq!(engine_names(escalated.stats().gauges()), pure);
     }
 }

@@ -158,7 +158,7 @@ fn slot_exhaustion_degrades_to_recorder_only() {
         "pre-degradation verdicts must not change"
     );
 
-    constrained.publish_telemetry();
+    telemetry.publish(&constrained.stats().gauges());
     let snap = telemetry.snapshot(0, ops.len() as u64).unwrap();
     assert_eq!(snap.scalar(names::ARENA_EXHAUSTED), Some(1));
     assert_eq!(snap.scalar(names::ARENA_TS_OVERFLOW), Some(0));
@@ -205,7 +205,7 @@ fn ts_overflow_degrades_to_recorder_only() {
         "{warnings:?}"
     );
 
-    engine.publish_telemetry();
+    telemetry.publish(&engine.stats().gauges());
     let snap = telemetry.snapshot(0, 3).unwrap();
     assert_eq!(snap.scalar(names::ARENA_TS_OVERFLOW), Some(1));
     assert_eq!(snap.scalar(names::ARENA_EXHAUSTED), Some(0));
@@ -233,7 +233,7 @@ proptest! {
 
     /// After an arbitrary (possibly ill-formed) trace, a registry snapshot
     /// agrees with the engine's recomputed statistics surface on every
-    /// mirrored gauge.
+    /// published gauge.
     #[test]
     fn snapshot_agrees_with_stats(ops in prop::collection::vec(arb_op(), 0..120)) {
         let telemetry = Telemetry::registry();
@@ -245,7 +245,7 @@ proptest! {
         for (i, &op) in ops.iter().enumerate() {
             engine.op(i, op);
         }
-        engine.publish_telemetry();
+        telemetry.publish(&engine.stats().gauges());
         let snap = telemetry.snapshot(0, ops.len() as u64).unwrap();
         let stats = engine.stats();
         prop_assert_eq!(snap.scalar(names::ENGINE_OPS), Some(stats.ops));

@@ -96,8 +96,8 @@ impl DegradationLevel {
     ];
 
     /// The rung number on the ladder: 0 at full fidelity, rising as
-    /// fidelity is shed. This is what the `*.ladder` telemetry gauges
-    /// carry, so exported snapshots can check monotonicity numerically.
+    /// fidelity is shed. This is what the `engine.ladder` telemetry gauge
+    /// carries, so exported snapshots can check monotonicity numerically.
     pub fn rung(self) -> u64 {
         match self {
             Self::Full => 0,

@@ -58,29 +58,6 @@ pub struct RuntimeTelemetry {
     pub degraded_at: Option<usize>,
 }
 
-impl RuntimeTelemetry {
-    /// Mirrors the runtime's fault-tolerance counters into a telemetry
-    /// registry as gauges under the stable `runtime.*` names (see
-    /// [`velodrome_telemetry::names`]). A no-op on the disabled handle.
-    /// The ladder gauge carries [`DegradationLevel::rung`], which is
-    /// monotone non-decreasing over a run.
-    pub fn publish(&self, telemetry: &velodrome_telemetry::Telemetry) {
-        use velodrome_telemetry::names;
-        if !telemetry.is_enabled() {
-            return;
-        }
-        telemetry.set_gauge(names::RUNTIME_EVENTS_SEEN, self.events_seen);
-        telemetry.set_gauge(names::RUNTIME_TOOL_PANICS, self.tool_panics);
-        telemetry.set_gauge(
-            names::RUNTIME_TRACE_EVENTS_DROPPED,
-            self.trace_events_dropped,
-        );
-        telemetry.set_gauge(names::RUNTIME_DEGRADATIONS, self.degradations);
-        telemetry.set_gauge(names::RUNTIME_SYNTHESIZED_EVENTS, self.synthesized_events);
-        telemetry.set_gauge(names::RUNTIME_LADDER, self.ladder.rung());
-    }
-}
-
 struct RuntimeState {
     trace: Trace,
     tool: Option<Box<dyn Tool + Send>>,

@@ -277,21 +277,19 @@ impl WatchdogStats {
         self.forced_sole_runnable + self.forced_all_paused + self.forced_deadline
     }
 
-    /// Mirrors the watchdog counters into a telemetry registry as gauges
-    /// under the stable `watchdog.*` names (see
-    /// [`velodrome_telemetry::names`]). A no-op on the disabled handle.
-    pub fn publish(&self, telemetry: &velodrome_telemetry::Telemetry) {
+    /// The `watchdog.*` gauges: the one place these fields are paired with
+    /// their [`velodrome_telemetry::names`].
+    pub fn gauges(&self) -> Vec<(&'static str, u64)> {
         use velodrome_telemetry::names;
-        if !telemetry.is_enabled() {
-            return;
-        }
-        telemetry.set_gauge(names::WATCHDOG_PAUSES_ISSUED, self.pauses_issued);
-        telemetry.set_gauge(
-            names::WATCHDOG_FORCED_SOLE_RUNNABLE,
-            self.forced_sole_runnable,
-        );
-        telemetry.set_gauge(names::WATCHDOG_FORCED_ALL_PAUSED, self.forced_all_paused);
-        telemetry.set_gauge(names::WATCHDOG_FORCED_DEADLINE, self.forced_deadline);
+        vec![
+            (names::WATCHDOG_PAUSES_ISSUED, self.pauses_issued),
+            (
+                names::WATCHDOG_FORCED_SOLE_RUNNABLE,
+                self.forced_sole_runnable,
+            ),
+            (names::WATCHDOG_FORCED_ALL_PAUSED, self.forced_all_paused),
+            (names::WATCHDOG_FORCED_DEADLINE, self.forced_deadline),
+        ]
     }
 }
 

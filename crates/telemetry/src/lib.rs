@@ -8,15 +8,20 @@
 //!
 //! * [`Telemetry`] — a cheap-to-clone handle to a metric registry. The
 //!   registry lock is touched only at *registration*; every update on a
-//!   [`Counter`], [`Gauge`], [`Histogram`], or [`PhaseTimer`] handle is a
-//!   relaxed atomic on pre-resolved storage, so the hot path never
-//!   contends.
+//!   [`Counter`], [`Gauge`], or [`PhaseTimer`] handle is a relaxed atomic
+//!   on pre-resolved storage, so the hot path never contends.
+//! * Stats structs stay the source of truth. Each one (the engine's,
+//!   the hybrid checker's, the scheduler watchdog's) has one `gauges()`
+//!   table pairing its fields with the [`names`] constants, and
+//!   [`Telemetry::publish`] copies such a table into the registry right
+//!   before a snapshot. Only event-time metrics (capacity failures, ladder
+//!   transitions) are updated live.
 //! * Phase timers — span-style start/stop around the analysis hot spots
 //!   (`Velodrome::advance`, `Arena::add_edge`, cycle check, GC cascade,
 //!   scheduler step) recording call count, total and max nanoseconds.
 //! * [`Snapshot`]s — a point-in-time copy of every registered metric,
-//!   collected periodically into a fixed-size [`SnapshotRing`] and written
-//!   out as JSON Lines by [`JsonlExporter`] (the CLI's `--metrics-out`).
+//!   written out as JSON Lines by [`JsonlExporter`] (the CLI's
+//!   `--metrics-out`).
 //!
 //! # Zero overhead when disabled
 //!
@@ -33,5 +38,5 @@ pub mod registry;
 pub mod snapshot;
 
 pub use export::JsonlExporter;
-pub use registry::{Counter, Gauge, Histogram, PhaseGuard, PhaseTimer, Telemetry};
-pub use snapshot::{MetricValue, Snapshot, SnapshotRing};
+pub use registry::{Counter, Gauge, PhaseGuard, PhaseTimer, Telemetry};
+pub use snapshot::{MetricValue, Snapshot};

@@ -6,10 +6,14 @@
 //! `engine` (the Velodrome analysis), `aerodrome` (the vector-clock
 //! atomicity screen), `hybrid` (the two-tier screen-then-diagnose
 //! checker), `watchdog` (the adversarial scheduler's pause watchdog),
-//! `runtime` (the live-monitoring shim), `batch` (the parallel
-//! `check-batch` runner), and `phase` (hot-path span timers). Renaming an
-//! entry here is a breaking change to the exported JSONL schema — add,
-//! don't rename.
+//! `batch` (the parallel `check-batch` runner), and `phase` (hot-path span
+//! timers). Renaming an entry here is a breaking change to the exported
+//! JSONL schema — add, don't rename.
+//!
+//! Each gauge name is paired with a stats field in exactly one `gauges()`
+//! table: `VelodromeStats` (`arena.*`, `engine.*`), `HybridStats`
+//! (`aerodrome.*`, `hybrid.*`), `WatchdogStats` (`watchdog.*`) and the
+//! batch runner's report (`batch.*`).
 
 /// Total transaction nodes ever allocated (Table 1 "Allocated").
 pub const ARENA_ALLOCATED: &str = "arena.allocated";
@@ -29,8 +33,6 @@ pub const ARENA_EDGES_ELIDED: &str = "arena.edges_elided";
 pub const ARENA_EXHAUSTED: &str = "arena.exhausted";
 /// 48-bit timestamp overflows (analysis degraded, host kept alive).
 pub const ARENA_TS_OVERFLOW: &str = "arena.ts_overflow";
-/// Distribution of live-node counts sampled over a run.
-pub const ARENA_ALIVE_SAMPLE: &str = "arena.alive_sample";
 
 /// Operations processed by the engine.
 pub const ENGINE_OPS: &str = "engine.ops";
@@ -83,19 +85,6 @@ pub const WATCHDOG_FORCED_SOLE_RUNNABLE: &str = "watchdog.forced_sole_runnable";
 pub const WATCHDOG_FORCED_ALL_PAUSED: &str = "watchdog.forced_all_paused";
 /// Pause waivers because the global pause-step deadline expired.
 pub const WATCHDOG_FORCED_DEADLINE: &str = "watchdog.forced_deadline";
-
-/// Events observed by the monitoring runtime (shims + synthesized).
-pub const RUNTIME_EVENTS_SEEN: &str = "runtime.events_seen";
-/// Tool callbacks that panicked (the tool is quarantined on the first).
-pub const RUNTIME_TOOL_PANICS: &str = "runtime.tool_panics";
-/// Events not retained in the replay trace (trace budget tripped).
-pub const RUNTIME_TRACE_EVENTS_DROPPED: &str = "runtime.trace_events_dropped";
-/// Degradation-ladder transitions taken by the runtime.
-pub const RUNTIME_DEGRADATIONS: &str = "runtime.degradations";
-/// `End`/`Release` events synthesized by `Runtime::finish`.
-pub const RUNTIME_SYNTHESIZED_EVENTS: &str = "runtime.synthesized_events";
-/// Current rung of the runtime's degradation ladder.
-pub const RUNTIME_LADDER: &str = "runtime.ladder";
 
 /// Traces whose analysis completed (whatever the verdict).
 pub const BATCH_TRACES_CHECKED: &str = "batch.traces_checked";

@@ -1,51 +1,15 @@
 //! The metric registry and its lock-cheap update handles.
 //!
 //! The registry mutex is taken only when a metric is (re-)registered or a
-//! snapshot is collected; [`Counter`], [`Gauge`], [`Histogram`], and
-//! [`PhaseTimer`] handles hold an `Arc` straight to the metric's atomic
-//! storage, so hot-path updates are contention-free relaxed atomics.
+//! snapshot is collected; [`Counter`], [`Gauge`], and [`PhaseTimer`]
+//! handles hold an `Arc` straight to the metric's atomic storage, so
+//! hot-path updates are contention-free relaxed atomics.
 
 use crate::snapshot::{MetricValue, Snapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Number of power-of-two histogram buckets: bucket 0 holds zeros, bucket
-/// `i` holds values whose highest set bit is `i - 1` (so `1 << 63` lands in
-/// the last bucket and nothing overflows).
-pub(crate) const BUCKETS: usize = 65;
-
-#[derive(Debug)]
-pub(crate) struct HistInner {
-    pub(crate) buckets: [AtomicU64; BUCKETS],
-    pub(crate) count: AtomicU64,
-    pub(crate) sum: AtomicU64,
-    pub(crate) max: AtomicU64,
-}
-
-impl HistInner {
-    fn new() -> Self {
-        Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, v: u64) {
-        let idx = if v == 0 {
-            0
-        } else {
-            64 - v.leading_zeros() as usize
-        };
-        self.buckets[idx].fetch_add(1, Relaxed);
-        self.count.fetch_add(1, Relaxed);
-        self.sum.fetch_add(v, Relaxed);
-        self.max.fetch_max(v, Relaxed);
-    }
-}
 
 #[derive(Debug)]
 pub(crate) struct PhaseInner {
@@ -75,7 +39,6 @@ impl PhaseInner {
 enum Metric {
     Counter(Arc<AtomicU64>),
     Gauge(Arc<AtomicU64>),
-    Histogram(Arc<HistInner>),
     Phase(Arc<PhaseInner>),
 }
 
@@ -84,7 +47,6 @@ impl Metric {
         match self {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
             Metric::Phase(_) => "phase",
         }
     }
@@ -167,19 +129,6 @@ impl Telemetry {
         }
     }
 
-    /// Registers (or resolves) the histogram `name` (power-of-two buckets).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different metric kind.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        match self.register(name, || Metric::Histogram(Arc::new(HistInner::new()))) {
-            Some(Metric::Histogram(h)) => Histogram(Some(h)),
-            Some(other) => panic!("metric `{name}` already registered as {}", other.kind()),
-            None => Histogram(None),
-        }
-    }
-
     /// Registers (or resolves) the phase timer `name`.
     ///
     /// # Panics
@@ -193,11 +142,14 @@ impl Telemetry {
         }
     }
 
-    /// Registers `name` as a gauge (if needed) and sets it — the one-shot
-    /// publish path used by stat surfaces that push a whole struct at once.
-    pub fn set_gauge(&self, name: &str, value: u64) {
+    /// Sets each named gauge, registering it if needed: how a stats
+    /// struct's `gauges()` table reaches the registry before a snapshot.
+    /// A no-op on the disabled handle.
+    pub fn publish(&self, gauges: &[(&str, u64)]) {
         if self.inner.is_some() {
-            self.gauge(name).set(value);
+            for &(name, value) in gauges {
+                self.gauge(name).set(value);
+            }
         }
     }
 
@@ -212,19 +164,6 @@ impl Telemetry {
                 let value = match metric {
                     Metric::Counter(c) => MetricValue::Counter(c.load(Relaxed)),
                     Metric::Gauge(g) => MetricValue::Gauge(g.load(Relaxed)),
-                    Metric::Histogram(h) => {
-                        let mut buckets: Vec<u64> =
-                            h.buckets.iter().map(|b| b.load(Relaxed)).collect();
-                        while buckets.last() == Some(&0) {
-                            buckets.pop();
-                        }
-                        MetricValue::Histogram {
-                            count: h.count.load(Relaxed),
-                            sum: h.sum.load(Relaxed),
-                            max: h.max.load(Relaxed),
-                            buckets,
-                        }
-                    }
                     Metric::Phase(p) => MetricValue::Phase {
                         count: p.count.load(Relaxed),
                         total_nanos: p.total_nanos.load(Relaxed),
@@ -292,29 +231,6 @@ impl Gauge {
     /// Current value (0 on the disabled handle).
     pub fn get(&self) -> u64 {
         self.0.as_ref().map_or(0, |g| g.load(Relaxed))
-    }
-}
-
-/// A power-of-two-bucketed distribution of `u64` samples.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram(Option<Arc<HistInner>>);
-
-impl Histogram {
-    /// A no-op histogram (what the disabled registry hands out).
-    pub fn disabled() -> Self {
-        Self(None)
-    }
-
-    /// Records one sample.
-    pub fn record(&self, v: u64) {
-        if let Some(h) = &self.0 {
-            h.record(v);
-        }
-    }
-
-    /// Number of samples recorded (0 on the disabled handle).
-    pub fn count(&self) -> u64 {
-        self.0.as_ref().map_or(0, |h| h.count.load(Relaxed))
     }
 }
 
@@ -412,37 +328,6 @@ mod tests {
         match &snap.metrics["work"] {
             MetricValue::Phase { count, .. } => assert_eq!(*count, 2),
             other => panic!("expected phase, got {other:?}"),
-        }
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn histogram_buckets_by_power_of_two() {
-        let t = Telemetry::registry();
-        let h = t.histogram("sizes");
-        for v in [0, 1, 2, 3, 4, 1024] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        let snap = t.snapshot(1, 6).unwrap();
-        match &snap.metrics["sizes"] {
-            MetricValue::Histogram {
-                count,
-                sum,
-                max,
-                buckets,
-            } => {
-                assert_eq!(*count, 6);
-                assert_eq!(*sum, 1034);
-                assert_eq!(*max, 1024);
-                // 0 → bucket 0; 1 → bucket 1; 2,3 → bucket 2; 4 → bucket 3;
-                // 1024 → bucket 11; trailing zero buckets are trimmed.
-                assert_eq!(buckets.len(), 12);
-                assert_eq!(buckets[0], 1);
-                assert_eq!(buckets[2], 2);
-                assert_eq!(buckets[11], 1);
-            }
-            other => panic!("expected histogram, got {other:?}"),
         }
     }
 

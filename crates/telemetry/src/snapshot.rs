@@ -1,8 +1,7 @@
-//! Point-in-time metric snapshots and the fixed-size ring they live in.
+//! Point-in-time metric snapshots.
 
 use serde::value::{Map, Number, Value};
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 
 /// A copy of one metric at snapshot time.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,29 +19,16 @@ pub enum MetricValue {
         /// Longest single span, in nanoseconds.
         max_nanos: u64,
     },
-    /// A power-of-two-bucketed distribution.
-    Histogram {
-        /// Samples recorded.
-        count: u64,
-        /// Sum of all samples.
-        sum: u64,
-        /// Largest sample.
-        max: u64,
-        /// Bucket occupancy; bucket 0 holds zeros, bucket `i` holds values
-        /// whose highest set bit is `i - 1`. Trailing empty buckets are
-        /// trimmed.
-        buckets: Vec<u64>,
-    },
 }
 
 impl MetricValue {
-    /// The headline scalar for this metric: counter/gauge value, phase span
-    /// count, or histogram sample count. What consumers that only want "the
-    /// number" (bench bins, smoke checks) read.
+    /// The headline scalar for this metric: counter/gauge value or phase
+    /// span count. What consumers that only want "the number" (tests, smoke
+    /// checks) read.
     pub fn scalar(&self) -> u64 {
         match self {
             MetricValue::Counter(v) | MetricValue::Gauge(v) => *v,
-            MetricValue::Phase { count, .. } | MetricValue::Histogram { count, .. } => *count,
+            MetricValue::Phase { count, .. } => *count,
         }
     }
 
@@ -67,21 +53,6 @@ impl MetricValue {
                 m.insert("count".into(), num(*count));
                 m.insert("total_nanos".into(), num(*total_nanos));
                 m.insert("max_nanos".into(), num(*max_nanos));
-            }
-            MetricValue::Histogram {
-                count,
-                sum,
-                max,
-                buckets,
-            } => {
-                m.insert("type".into(), Value::Str("histogram".into()));
-                m.insert("count".into(), num(*count));
-                m.insert("sum".into(), num(*sum));
-                m.insert("max".into(), num(*max));
-                m.insert(
-                    "buckets".into(),
-                    Value::Array(buckets.iter().map(|&b| num(b)).collect()),
-                );
             }
         }
         Value::Object(m)
@@ -125,84 +96,9 @@ impl Snapshot {
     }
 }
 
-/// A fixed-capacity ring of the most recent snapshots. Keeps the latest
-/// `capacity` snapshots; older ones are evicted in FIFO order, so memory
-/// stays bounded no matter how long a run is.
-#[derive(Debug, Clone)]
-pub struct SnapshotRing {
-    capacity: usize,
-    ring: VecDeque<Snapshot>,
-}
-
-impl SnapshotRing {
-    /// Creates a ring holding at most `capacity` snapshots (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            capacity,
-            ring: VecDeque::with_capacity(capacity),
-        }
-    }
-
-    /// Appends a snapshot, evicting the oldest when full.
-    pub fn push(&mut self, snap: Snapshot) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(snap);
-    }
-
-    /// Number of retained snapshots.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Returns `true` when no snapshots are retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Maximum number of retained snapshots.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// The most recent snapshot, if any.
-    pub fn latest(&self) -> Option<&Snapshot> {
-        self.ring.back()
-    }
-
-    /// Iterates oldest → newest.
-    pub fn iter(&self) -> impl Iterator<Item = &Snapshot> {
-        self.ring.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn snap(seq: u64) -> Snapshot {
-        let mut metrics = BTreeMap::new();
-        metrics.insert("a.count".to_owned(), MetricValue::Counter(seq * 10));
-        Snapshot {
-            seq,
-            events: seq * 100,
-            metrics,
-        }
-    }
-
-    #[test]
-    fn ring_evicts_oldest() {
-        let mut ring = SnapshotRing::new(2);
-        ring.push(snap(0));
-        ring.push(snap(1));
-        ring.push(snap(2));
-        assert_eq!(ring.len(), 2);
-        let seqs: Vec<u64> = ring.iter().map(|s| s.seq).collect();
-        assert_eq!(seqs, vec![1, 2]);
-        assert_eq!(ring.latest().unwrap().seq, 2);
-    }
 
     #[test]
     fn json_line_round_trips() {
@@ -217,15 +113,6 @@ mod tests {
                 max_nanos: 600,
             },
         );
-        metrics.insert(
-            "x.hist".to_owned(),
-            MetricValue::Histogram {
-                count: 1,
-                sum: 4,
-                max: 4,
-                buckets: vec![0, 0, 0, 1],
-            },
-        );
         let s = Snapshot {
             seq: 5,
             events: 5000,
@@ -238,10 +125,6 @@ mod tests {
         assert_eq!(v["events"].as_u64(), Some(5000));
         assert_eq!(v["metrics"]["x.counter"]["value"].as_u64(), Some(3));
         assert_eq!(v["metrics"]["x.phase"]["type"], "phase");
-        assert_eq!(
-            v["metrics"]["x.hist"]["buckets"].as_array().unwrap().len(),
-            4
-        );
         assert_eq!(s.scalar("x.gauge"), Some(7));
         assert_eq!(s.scalar("x.phase"), Some(2));
         assert_eq!(s.scalar("missing"), None);

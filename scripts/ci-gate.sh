@@ -55,19 +55,25 @@ for name in arena.allocated arena.cur_alive engine.ops engine.ladder watchdog.pa
     fi
 done
 
-echo "==> hybrid metrics smoke (screen gauges present alongside the base contract)"
-cargo run --release -q -p velodrome-cli -- check multiset --seed=1 --scale=4 \
-    --backend=velodrome-hybrid \
-    --metrics-out="$tmp/hybrid.jsonl" --metrics-interval=200 >/dev/null
-cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/hybrid.jsonl" \
-    --require=aerodrome.joins,aerodrome.epoch_hits,hybrid.escalations,hybrid.graph_ops \
-    >/dev/null
-for name in aerodrome.joins hybrid.escalations; do
-    if ! grep -q "\"$name\"" "$tmp/hybrid.jsonl"; then
-        echo "hybrid metrics smoke: required metric $name missing from snapshots" >&2
-        exit 1
-    fi
+echo "==> screened metrics smoke (screen gauges present alongside the base contract)"
+for backend in velodrome-hybrid aerodrome; do
+    cargo run --release -q -p velodrome-cli -- check multiset --seed=1 --scale=4 \
+        --backend="$backend" \
+        --metrics-out="$tmp/$backend.jsonl" --metrics-interval=200 >/dev/null
+    cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/$backend.jsonl" \
+        --require=aerodrome.joins,aerodrome.epoch_hits,hybrid.escalations,hybrid.graph_ops \
+        >/dev/null
+    for name in aerodrome.joins hybrid.escalations; do
+        if ! grep -q "\"$name\"" "$tmp/$backend.jsonl"; then
+            echo "$backend metrics smoke: required metric $name missing from snapshots" >&2
+            exit 1
+        fi
+    done
 done
+
+echo "==> graph statistics readers (Table 1 node columns, GC timeline)"
+cargo run --release -q -p velodrome-bench --bin graph_stats -- --scale=1 >/dev/null
+cargo run --release -q -p velodrome-bench --bin gc_timeline -- --scale=1 >/dev/null
 
 echo "==> batch smoke (fixed-seed corpus, JSONL schema + batch.* gauges)"
 mkdir -p "$tmp/batch"
