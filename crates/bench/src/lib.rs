@@ -36,7 +36,7 @@ use velodrome_events::Trace;
 /// settings without a metrics file, so neither happens.
 pub fn run_backend(name: &str, trace: &Trace, settings: &Settings) -> Analysis {
     let backend = lookup(name).unwrap_or_else(|| panic!("no backend named `{name}`"));
-    (backend.run)(trace, settings).unwrap_or_else(|e| panic!("{name}: {e}"))
+    (backend.run)(trace.into(), settings).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
 /// Reads a `NAME=value` style `u64` argument from the process arguments

@@ -5,15 +5,18 @@
 //! the benchmark harness all iterate [`BACKENDS`] or look names up in it,
 //! so adding a backend takes one entry. Each entry's `run` is a plain
 //! function over the concrete tool type: dispatch happens once per trace,
-//! and the per-operation loop stays monomorphic.
+//! and the per-operation loop stays monomorphic. A run takes an [`Input`]:
+//! a trace file whose operations stream from the decoder straight into the
+//! tool (`trace`, `check-batch`), or a trace already in memory.
 
-use crate::{err, io_err, CliError, USAGE};
+use crate::{err, io_err, open_trace_file, read_error, CliError, USAGE};
+use std::borrow::Cow;
 use velodrome::{HybridConfig, HybridVelodrome, Velodrome, VelodromeConfig};
 use velodrome_atomizer::Atomizer;
-use velodrome_events::Trace;
+use velodrome_events::{Op, SymbolTable, Trace, TraceSource};
 use velodrome_lockset::{Eraser, StrictTwoPhase};
 use velodrome_monitor::{
-    run_tool, AtomicitySpec, DegradationLevel, EmptyTool, ResourceBudget, SpecFilter, Tool, Warning,
+    AtomicitySpec, DegradationLevel, EmptyTool, ResourceBudget, SpecFilter, Tool, Warning,
 };
 use velodrome_sim::WatchdogStats;
 use velodrome_telemetry::{JsonlExporter, Telemetry};
@@ -30,6 +33,8 @@ pub struct Analysis {
     /// The final `gauges()` of a metered backend's statistics: the values
     /// its last `--metrics-out` snapshot carries. Empty for the others.
     pub stats: Vec<(&'static str, u64)>,
+    /// Operations analyzed: the length of the trace.
+    pub events: usize,
 }
 
 impl Analysis {
@@ -81,6 +86,60 @@ pub struct Settings {
     pub metrics: Option<Metrics>,
 }
 
+/// The operations a backend runs over.
+pub enum Input<'a> {
+    /// A trace file, decoded as its operations stream into the backend:
+    /// nothing of the trace is kept but what the backend itself keeps.
+    /// Errors the decoder finds at the end of the stream fail the run
+    /// after every operation has been analyzed, so no verdict escapes.
+    File {
+        /// The file's path, for diagnostics.
+        path: &'a str,
+        /// The opened stream.
+        source: TraceSource<std::fs::File>,
+    },
+    /// A trace already in memory.
+    Trace(&'a Trace),
+}
+
+impl<'a> Input<'a> {
+    /// Opens the trace file at `path` (either encoding) for streaming. An
+    /// unreadable path is an I/O error; a bad VBT header is malformed
+    /// input.
+    pub(crate) fn open(path: &'a str) -> Result<Self, CliError> {
+        Ok(Self::File {
+            path,
+            source: open_trace_file(path)?,
+        })
+    }
+
+    /// Feeds every operation to `sink` in trace order, then returns the
+    /// symbol table and the operation count.
+    fn stream(
+        self,
+        mut sink: impl FnMut(usize, Op),
+    ) -> Result<(Cow<'a, SymbolTable>, usize), CliError> {
+        match self {
+            Self::File { path, source } => {
+                let rest = source.stream(sink).map_err(|e| read_error(path, e))?;
+                Ok((Cow::Owned(rest.names), rest.ops))
+            }
+            Self::Trace(trace) => {
+                for (i, op) in trace.iter() {
+                    sink(i, op);
+                }
+                Ok((Cow::Borrowed(trace.names()), trace.len()))
+            }
+        }
+    }
+}
+
+impl<'a> From<&'a Trace> for Input<'a> {
+    fn from(trace: &'a Trace) -> Self {
+        Self::Trace(trace)
+    }
+}
+
 /// One registered backend.
 #[derive(Debug)]
 pub struct Backend {
@@ -90,7 +149,7 @@ pub struct Backend {
     /// accepts `--metrics-out`.
     pub metered: bool,
     /// Runs the backend over one trace.
-    pub run: fn(&Trace, &Settings) -> Result<Analysis, CliError>,
+    pub run: fn(Input<'_>, &Settings) -> Result<Analysis, CliError>,
 }
 
 /// Every backend, in the order `compare` lists them.
@@ -164,77 +223,182 @@ pub(crate) fn select(name: &str, metrics: bool) -> Result<&'static Backend, CliE
     Ok(backend)
 }
 
-/// A metered tool's statistics, as its stats struct's `gauges()` table.
-type Gauges<'a, T> = &'a dyn Fn(&T) -> Vec<(&'static str, u64)>;
+/// What the driver needs of a tool besides [`Tool`].
+trait Analyzer: Tool {
+    /// Whether the tool has statistics, i.e. writes `--metrics-out`
+    /// snapshots.
+    const METERED: bool = false;
 
-/// Runs `tool` over the trace as `settings` asks — through the spec
-/// filter when a spec is set, metered when the tool has gauges — and
+    /// The tool's statistics, as its stats struct's `gauges()` table.
+    fn gauges(&self) -> Vec<(&'static str, u64)> {
+        Vec::new()
+    }
+
+    /// Takes the trace's symbol table, which a streamed trace delivers only
+    /// after its last operation, before the warnings are taken.
+    fn names(&mut self, _names: Cow<'_, SymbolTable>) {}
+}
+
+impl Analyzer for Velodrome {
+    const METERED: bool = true;
+
+    fn gauges(&self) -> Vec<(&'static str, u64)> {
+        self.stats().gauges()
+    }
+
+    fn names(&mut self, names: Cow<'_, SymbolTable>) {
+        self.set_names(names.into_owned());
+    }
+}
+
+impl Analyzer for HybridVelodrome {
+    const METERED: bool = true;
+
+    fn gauges(&self) -> Vec<(&'static str, u64)> {
+        self.stats().gauges()
+    }
+
+    fn names(&mut self, names: Cow<'_, SymbolTable>) {
+        self.set_names(names.into_owned());
+    }
+}
+
+impl Analyzer for Atomizer {}
+impl Analyzer for Eraser {}
+impl Analyzer for HbRaceDetector {}
+impl Analyzer for StrictTwoPhase {}
+impl Analyzer for EmptyTool {}
+
+impl<T: Analyzer> Analyzer for SpecFilter<T> {
+    const METERED: bool = T::METERED;
+
+    fn gauges(&self) -> Vec<(&'static str, u64)> {
+        self.inner().gauges()
+    }
+
+    fn names(&mut self, names: Cow<'_, SymbolTable>) {
+        self.inner_mut().names(names);
+    }
+}
+
+/// Velodrome, the atomizer, and both race detectors over one pass of the
+/// trace; Velodrome's statistics stand for the whole.
+struct All {
+    velodrome: Velodrome,
+    atomizer: Atomizer,
+    eraser: Eraser,
+    hb_race: HbRaceDetector,
+}
+
+impl Tool for All {
+    fn name(&self) -> &'static str {
+        "all"
+    }
+
+    fn op(&mut self, index: usize, op: Op) {
+        self.velodrome.op(index, op);
+        self.atomizer.op(index, op);
+        self.eraser.op(index, op);
+        self.hb_race.op(index, op);
+    }
+
+    fn end_of_trace(&mut self) {
+        self.velodrome.end_of_trace();
+        self.atomizer.end_of_trace();
+        self.eraser.end_of_trace();
+        self.hb_race.end_of_trace();
+    }
+
+    /// Each tool's warnings in turn, then stably sorted into trace order.
+    fn take_warnings(&mut self) -> Vec<Warning> {
+        let mut warnings = self.velodrome.take_warnings();
+        warnings.extend(self.atomizer.take_warnings());
+        warnings.extend(self.eraser.take_warnings());
+        warnings.extend(self.hb_race.take_warnings());
+        warnings.sort_by_key(|w| w.op_index);
+        warnings
+    }
+}
+
+impl Analyzer for All {
+    const METERED: bool = true;
+
+    fn gauges(&self) -> Vec<(&'static str, u64)> {
+        self.velodrome.gauges()
+    }
+
+    fn names(&mut self, names: Cow<'_, SymbolTable>) {
+        self.velodrome.names(names);
+    }
+}
+
+/// Runs `tool` over the input as `settings` asks — through the spec
+/// filter when a spec is set, metered when the tool has statistics — and
 /// hands the tool back for its final statistics.
-fn drive<T: Tool>(
+fn drive<T: Analyzer>(
     tool: T,
-    trace: &Trace,
+    input: Input<'_>,
     settings: &Settings,
-    gauges: Option<Gauges<'_, T>>,
 ) -> Result<(T, Analysis), CliError> {
     let Some(spec) = &settings.spec else {
         let mut tool = tool;
-        let analysis = feed(&mut tool, trace, settings, gauges)?;
+        let analysis = feed(&mut tool, input, settings)?;
         return Ok((tool, analysis));
     };
     let mut filtered = SpecFilter::new(spec.clone(), tool);
-    let inner = gauges.map(|g| move |f: &SpecFilter<T>| g(f.inner()));
-    let analysis = feed(
-        &mut filtered,
-        trace,
-        settings,
-        inner.as_ref().map(|g| g as Gauges<'_, SpecFilter<T>>),
-    )?;
+    let analysis = feed(&mut filtered, input, settings)?;
     Ok((filtered.into_inner(), analysis))
 }
 
-fn feed<T: Tool>(
+fn feed<T: Analyzer>(
     tool: &mut T,
-    trace: &Trace,
+    input: Input<'_>,
     settings: &Settings,
-    gauges: Option<Gauges<'_, T>>,
 ) -> Result<Analysis, CliError> {
     let mut notes = Vec::new();
-    let warnings = match (gauges, &settings.metrics) {
-        (Some(gauges), Some(metrics)) => {
-            let (warnings, lines) = run_metered(tool, trace, settings, metrics, gauges)?;
+    let (warnings, events) = match &settings.metrics {
+        Some(metrics) if T::METERED => {
+            let (warnings, events, lines) = run_metered(tool, input, settings, metrics)?;
             notes.push(format!(
                 "{lines} metric snapshots written to {}",
                 metrics.path
             ));
-            warnings
+            (warnings, events)
         }
-        _ => run_tool(tool, trace),
+        _ => {
+            let (names, events) = input.stream(|i, op| tool.op(i, op))?;
+            tool.end_of_trace();
+            tool.names(names);
+            (tool.take_warnings(), events)
+        }
     };
-    let stats = gauges.map_or_else(Vec::new, |g| g(tool));
     Ok(Analysis {
         warnings,
         notes,
-        stats,
+        stats: tool.gauges(),
+        events,
     })
 }
 
-/// Drives the tool over the trace one operation at a time, publishing its
+/// Drives the tool over the input one operation at a time, publishing its
 /// gauges and writing a registry snapshot to a JSONL file every `interval`
-/// events (plus a final snapshot, so at least one line is always written).
-fn run_metered<T: Tool>(
+/// events, plus a final snapshot once the input has been read to its end
+/// (so a valid trace always gets at least one line, and an invalid one no
+/// final line). Returns the warnings, the event count and the lines
+/// written.
+fn run_metered<T: Analyzer>(
     tool: &mut T,
-    trace: &Trace,
+    input: Input<'_>,
     settings: &Settings,
     metrics: &Metrics,
-    gauges: Gauges<'_, T>,
-) -> Result<(Vec<Warning>, u64), CliError> {
+) -> Result<(Vec<Warning>, usize, u64), CliError> {
     let path = metrics.path.as_str();
     let telemetry = &settings.telemetry;
     let file = std::fs::File::create(path).map_err(|e| io_err(format!("creating {path}: {e}")))?;
     let mut exporter = JsonlExporter::new(std::io::BufWriter::new(file));
     let mut seq = 0u64;
     let mut emit = |tool: &T, events: u64| -> Result<(), CliError> {
-        telemetry.publish(&gauges(tool));
+        telemetry.publish(&tool.gauges());
         telemetry.publish(&metrics.watchdog.gauges());
         if let Some(snap) = telemetry.snapshot(seq, events) {
             exporter
@@ -244,21 +408,29 @@ fn run_metered<T: Tool>(
         }
         Ok(())
     };
-    for (i, op) in trace.iter() {
+    // The sink cannot fail; the first write error stops the snapshots and
+    // is returned once the input has been read.
+    let mut failed = None;
+    let (names, events) = input.stream(|i, op| {
         tool.op(i, op);
         let events = i as u64 + 1;
-        if events % metrics.interval == 0 {
-            emit(tool, events)?;
+        if events % metrics.interval == 0 && failed.is_none() {
+            failed = emit(tool, events).err();
         }
+    })?;
+    if let Some(e) = failed {
+        return Err(e);
     }
     tool.end_of_trace();
-    emit(tool, trace.len() as u64)?;
-    Ok((tool.take_warnings(), exporter.lines_written()))
+    emit(tool, events as u64)?;
+    tool.names(names);
+    Ok((tool.take_warnings(), events, exporter.lines_written()))
 }
 
-fn engine_config(trace: &Trace, settings: &Settings, merge: bool) -> VelodromeConfig {
+/// The engine configuration the flags select. The symbol table is left
+/// empty: the driver hands it over when the input ends ([`Analyzer::names`]).
+fn engine_config(settings: &Settings, merge: bool) -> VelodromeConfig {
     VelodromeConfig {
-        names: trace.names().clone(),
         merge,
         gc: !settings.no_gc,
         budget: ResourceBudget {
@@ -271,47 +443,42 @@ fn engine_config(trace: &Trace, settings: &Settings, merge: bool) -> VelodromeCo
     }
 }
 
-fn run_velodrome(trace: &Trace, settings: &Settings, merge: bool) -> Result<Analysis, CliError> {
-    let engine = Velodrome::with_config(engine_config(trace, settings, merge));
-    let (engine, mut analysis) = drive(
-        engine,
-        trace,
-        settings,
-        Some(&|engine: &Velodrome| engine.stats().gauges()),
-    )?;
+/// Notes on a finished engine run: suppressed warnings and degradation.
+fn velodrome_notes(engine: &Velodrome, notes: &mut Vec<String>) {
     let stats = engine.stats();
     if stats.warnings_suppressed > 0 {
-        analysis.notes.push(format!(
+        notes.push(format!(
             "{} warnings suppressed (budget)",
             stats.warnings_suppressed
         ));
     }
     if stats.ladder != DegradationLevel::Full {
-        analysis.notes.push(format!(
+        notes.push(format!(
             "analysis degraded to {} ({} transitions, {} vars quarantined) — \
              warnings after the degradation point may be incomplete",
             stats.ladder, stats.degradations, stats.vars_quarantined
         ));
     }
+}
+
+fn run_velodrome(input: Input<'_>, settings: &Settings, merge: bool) -> Result<Analysis, CliError> {
+    let engine = Velodrome::with_config(engine_config(settings, merge));
+    let (engine, mut analysis) = drive(engine, input, settings)?;
+    velodrome_notes(&engine, &mut analysis.notes);
     Ok(analysis)
 }
 
 fn run_hybrid(
-    trace: &Trace,
+    input: Input<'_>,
     settings: &Settings,
     verdict_only: bool,
 ) -> Result<Analysis, CliError> {
     let checker = HybridVelodrome::with_config(HybridConfig {
-        engine: engine_config(trace, settings, true),
+        engine: engine_config(settings, true),
         max_window: settings.window,
         verdict_only,
     });
-    let (checker, mut analysis) = drive(
-        checker,
-        trace,
-        settings,
-        Some(&|checker: &HybridVelodrome| checker.stats().gauges()),
-    )?;
+    let (checker, mut analysis) = drive(checker, input, settings)?;
     let stats = checker.stats();
     analysis.notes.push(match stats.escalated_at {
         Some(at) => format!(
@@ -336,64 +503,71 @@ fn run_hybrid(
     Ok(analysis)
 }
 
-fn unmetered<T: Tool>(tool: T, trace: &Trace, settings: &Settings) -> Result<Analysis, CliError> {
-    Ok(drive(tool, trace, settings, None)?.1)
+fn unmetered<T: Analyzer>(
+    tool: T,
+    input: Input<'_>,
+    settings: &Settings,
+) -> Result<Analysis, CliError> {
+    Ok(drive(tool, input, settings)?.1)
 }
 
 /// The paper's checker with every optimization.
-fn velodrome(trace: &Trace, settings: &Settings) -> Result<Analysis, CliError> {
-    run_velodrome(trace, settings, true)
+fn velodrome(input: Input<'_>, settings: &Settings) -> Result<Analysis, CliError> {
+    run_velodrome(input, settings, true)
 }
 
 /// The naive Figure 2 rule: one node per operation outside a transaction.
-fn velodrome_nomerge(trace: &Trace, settings: &Settings) -> Result<Analysis, CliError> {
-    run_velodrome(trace, settings, false)
+fn velodrome_nomerge(input: Input<'_>, settings: &Settings) -> Result<Analysis, CliError> {
+    run_velodrome(input, settings, false)
 }
 
 /// Vector-clock screen online, graph engine on escalation; warnings
 /// byte-identical to `velodrome`.
-fn velodrome_hybrid(trace: &Trace, settings: &Settings) -> Result<Analysis, CliError> {
-    run_hybrid(trace, settings, false)
+fn velodrome_hybrid(input: Input<'_>, settings: &Settings) -> Result<Analysis, CliError> {
+    run_hybrid(input, settings, false)
 }
 
 /// The same two tiers, verdict-only output.
-fn aerodrome(trace: &Trace, settings: &Settings) -> Result<Analysis, CliError> {
-    run_hybrid(trace, settings, true)
+fn aerodrome(input: Input<'_>, settings: &Settings) -> Result<Analysis, CliError> {
+    run_hybrid(input, settings, true)
 }
 
-fn atomizer(trace: &Trace, settings: &Settings) -> Result<Analysis, CliError> {
-    unmetered(Atomizer::new(), trace, settings)
+fn atomizer(input: Input<'_>, settings: &Settings) -> Result<Analysis, CliError> {
+    unmetered(Atomizer::new(), input, settings)
 }
 
-fn eraser(trace: &Trace, settings: &Settings) -> Result<Analysis, CliError> {
-    unmetered(Eraser::new(), trace, settings)
+fn eraser(input: Input<'_>, settings: &Settings) -> Result<Analysis, CliError> {
+    unmetered(Eraser::new(), input, settings)
 }
 
-fn hb_race(trace: &Trace, settings: &Settings) -> Result<Analysis, CliError> {
-    unmetered(HbRaceDetector::new(), trace, settings)
+fn hb_race(input: Input<'_>, settings: &Settings) -> Result<Analysis, CliError> {
+    unmetered(HbRaceDetector::new(), input, settings)
 }
 
-fn s2pl(trace: &Trace, settings: &Settings) -> Result<Analysis, CliError> {
-    unmetered(StrictTwoPhase::new(), trace, settings)
+fn s2pl(input: Input<'_>, settings: &Settings) -> Result<Analysis, CliError> {
+    unmetered(StrictTwoPhase::new(), input, settings)
 }
 
 /// Instrumentation only: Table 1's denominator.
-fn empty(trace: &Trace, settings: &Settings) -> Result<Analysis, CliError> {
-    let (tool, analysis) = drive(EmptyTool::new(), trace, settings, None)?;
+fn empty(input: Input<'_>, settings: &Settings) -> Result<Analysis, CliError> {
+    let (tool, analysis) = drive(EmptyTool::new(), input, settings)?;
     // Observe the count, so the loop being timed cannot be optimized away.
     std::hint::black_box(tool.ops_seen());
     Ok(analysis)
 }
 
-/// Velodrome plus the atomizer and both race detectors, merged in trace
-/// order.
-fn all(trace: &Trace, settings: &Settings) -> Result<Analysis, CliError> {
-    let mut result = velodrome(trace, settings)?;
-    for run in [atomizer, eraser, hb_race] {
-        result.warnings.extend(run(trace, settings)?.warnings);
-    }
-    result.warnings.sort_by_key(|w| w.op_index);
-    Ok(result)
+/// Velodrome plus the atomizer and both race detectors, in one pass,
+/// merged in trace order.
+fn all(input: Input<'_>, settings: &Settings) -> Result<Analysis, CliError> {
+    let tools = All {
+        velodrome: Velodrome::with_config(engine_config(settings, true)),
+        atomizer: Atomizer::new(),
+        eraser: Eraser::new(),
+        hb_race: HbRaceDetector::new(),
+    };
+    let (tools, mut analysis) = drive(tools, input, settings)?;
+    velodrome_notes(&tools.velodrome, &mut analysis.notes);
+    Ok(analysis)
 }
 
 #[cfg(test)]
@@ -412,7 +586,7 @@ mod tests {
     }
 
     fn run(name: &str, trace: &Trace, settings: &Settings) -> Analysis {
-        (lookup(name).unwrap().run)(trace, settings).unwrap()
+        (lookup(name).unwrap().run)(trace.into(), settings).unwrap()
     }
 
     /// Runs `name` and returns the warning count and one final gauge.
@@ -425,7 +599,7 @@ mod tests {
     fn all_backends_run() {
         let trace = rmw_trace();
         for backend in BACKENDS {
-            (backend.run)(&trace, &Settings::default())
+            (backend.run)((&trace).into(), &Settings::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", backend.name));
         }
     }
@@ -502,7 +676,7 @@ mod tests {
                 }),
                 ..Settings::default()
             };
-            let analysis = (backend.run)(&trace, &settings).unwrap();
+            let analysis = (backend.run)((&trace).into(), &settings).unwrap();
             assert!(!analysis.stats.is_empty(), "{}", backend.name);
             let text = std::fs::read_to_string(&path).unwrap();
             let last: serde_json::Value =
@@ -533,7 +707,7 @@ mod tests {
             ..Settings::default()
         };
         for backend in BACKENDS {
-            let analysis = (backend.run)(&trace, &settings).unwrap();
+            let analysis = (backend.run)((&trace).into(), &settings).unwrap();
             assert!(
                 analysis
                     .warnings

@@ -3,10 +3,11 @@
 //! The unit of scaling for a fleet-checking service is the *set of traces*,
 //! not the single trace: per-trace analysis is already linear, so aggregate
 //! throughput comes from fanning a work queue of trace files over a fixed
-//! worker pool. Each worker loads (JSON or VBT, sniffed by magic) and
-//! analyzes one trace at a time under the monitor's panic-isolation shim
-//! ([`velodrome_monitor::isolate`]), so one poisoned trace degrades only
-//! its own verdict — the batch always completes and always reports.
+//! worker pool. Each worker streams one trace at a time (JSON or VBT,
+//! sniffed by magic) straight from the decoder into the backend, under the
+//! monitor's panic-isolation shim ([`velodrome_monitor::isolate`]), so one
+//! poisoned trace degrades only its own verdict — the batch always
+//! completes and always reports.
 //!
 //! Guarantees:
 //!
@@ -21,8 +22,8 @@
 //!   `quarantined`, the panic message preserved); unreadable or malformed
 //!   files fail that trace (status `error`); neither aborts the batch.
 
-use crate::backend::{self, Backend, Settings};
-use crate::{err, io_err, read_trace_file, CliError, Options, USAGE};
+use crate::backend::{self, Backend, Input, Settings};
+use crate::{err, io_err, CliError, Options, USAGE};
 use serde::value::{Map, Number, Value};
 use serde::Serialize as _;
 use std::collections::BTreeMap;
@@ -231,13 +232,14 @@ impl BatchReport {
 /// The serial leg of the `batch` bench uses this to prove the parallel
 /// runner's verdicts byte-identical.
 pub fn check_trace(trace: &Trace, backend: &str) -> Result<(Vec<Warning>, Vec<String>), CliError> {
-    let analysis = (backend::select(backend, false)?.run)(trace, &Settings::default())?;
+    let analysis = (backend::select(backend, false)?.run)(trace.into(), &Settings::default())?;
     Ok((analysis.warnings, analysis.notes))
 }
 
-/// Checks one trace file end to end: load (either format), analyze under a
-/// panic guard, snapshot the worker-private registry if metrics were
-/// requested.
+/// Checks one trace file end to end: open it (either format), stream it
+/// into the backend under a panic guard, snapshot the worker-private
+/// registry if metrics were requested. A decoding error, even one found
+/// after the last operation, is an `error` status, never a verdict.
 fn check_one(
     path: &Path,
     backend: &Backend,
@@ -254,8 +256,8 @@ fn check_one(
         notes: Vec::new(),
         message: Some(message),
     };
-    let trace = match read_trace_file(&path_str) {
-        Ok(t) => t,
+    let input = match Input::open(&path_str) {
+        Ok(input) => input,
         Err(e) => return (fail(TraceStatus::Error, e.message, start), None),
     };
     let collect_metrics = cfg.settings.metrics.is_some();
@@ -270,7 +272,7 @@ fn check_one(
     };
     let telemetry = &settings.telemetry;
     let analysis =
-        match velodrome_monitor::isolate::run_isolated(|| (backend.run)(&trace, &settings)) {
+        match velodrome_monitor::isolate::run_isolated(|| (backend.run)(input, &settings)) {
             Err(panic) => {
                 let msg = format!("analysis panicked: {panic}");
                 return (fail(TraceStatus::Quarantined, msg, start), None);
@@ -284,14 +286,14 @@ fn check_one(
         // contract includes the watchdog gauges; publish explicit zeros so
         // `metrics-verify` holds for batch metrics too.
         telemetry.publish(&WatchdogStats::default().gauges());
-        telemetry.snapshot(0, trace.len() as u64)
+        telemetry.snapshot(0, analysis.events as u64)
     } else {
         None
     };
     let outcome = TraceOutcome {
         path: path_str,
         status: TraceStatus::Ok,
-        events: trace.len(),
+        events: analysis.events,
         millis: start.elapsed().as_millis() as u64,
         warnings: analysis.warnings,
         notes: analysis.notes,

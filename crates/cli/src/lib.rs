@@ -19,7 +19,7 @@
 pub mod backend;
 pub mod batch;
 
-use backend::{Analysis, Metrics, Settings, BACKENDS};
+use backend::{Analysis, Input, Metrics, Settings, BACKENDS};
 use std::fmt::Write as _;
 use velodrome_events::{oracle, Trace, TraceStats};
 use velodrome_sim::{run_program, RandomScheduler, WatchdogStats};
@@ -312,26 +312,30 @@ impl Options {
     }
 }
 
-fn analyze(trace: &Trace, opts: &Options, watchdog: &WatchdogStats) -> Result<Analysis, CliError> {
+fn analyze(
+    input: Input<'_>,
+    opts: &Options,
+    watchdog: &WatchdogStats,
+) -> Result<Analysis, CliError> {
     let telemetry = if opts.metrics_out.is_some() {
         Telemetry::registry()
     } else {
         Telemetry::disabled()
     };
-    analyze_with(trace, opts, watchdog, &telemetry)
+    analyze_with(input, opts, watchdog, &telemetry)
 }
 
 /// [`analyze`] against a caller-provided registry, so phases recorded
 /// before the analysis (e.g. `phase.scheduler_step` during trace
 /// production) appear in the same `--metrics-out` snapshots.
 fn analyze_with(
-    trace: &Trace,
+    input: Input<'_>,
     opts: &Options,
     watchdog: &WatchdogStats,
     telemetry: &Telemetry,
 ) -> Result<Analysis, CliError> {
     let backend = backend::select(&opts.backend, opts.metrics_out.is_some())?;
-    (backend.run)(trace, &opts.settings(telemetry, watchdog))
+    (backend.run)(input, &opts.settings(telemetry, watchdog))
 }
 
 fn info(opts: &Options) -> Result<String, CliError> {
@@ -364,8 +368,8 @@ fn replay(opts: &Options) -> Result<String, CliError> {
         "replayed {} recorded events deterministically\n",
         replayer.replayed()
     );
-    let analysis = analyze(&result.trace, opts, &WatchdogStats::default())?;
-    out.push_str(&render_analysis(&result.trace, &analysis, opts.dot));
+    let analysis = analyze((&result.trace).into(), opts, &WatchdogStats::default())?;
+    out.push_str(&render_analysis(&analysis, opts.dot));
     Ok(out)
 }
 
@@ -383,7 +387,7 @@ fn compare(opts: &Options) -> Result<String, CliError> {
     let width = BACKENDS.iter().map(|b| b.name.len()).max().unwrap_or(0);
     for backend in BACKENDS.iter().filter(|b| b.name != "all") {
         let start = std::time::Instant::now();
-        let analysis = (backend.run)(&trace, &settings)?;
+        let analysis = (backend.run)((&trace).into(), &settings)?;
         let elapsed = start.elapsed();
         let _ = writeln!(
             out,
@@ -396,7 +400,7 @@ fn compare(opts: &Options) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn render_analysis(trace: &Trace, analysis: &Analysis, dot: bool) -> String {
+fn render_analysis(analysis: &Analysis, dot: bool) -> String {
     let mut out = String::new();
     if analysis.warnings.is_empty() {
         let _ = writeln!(
@@ -415,7 +419,7 @@ fn render_analysis(trace: &Trace, analysis: &Analysis, dot: bool) -> String {
     for note in &analysis.notes {
         let _ = writeln!(out, "{note}");
     }
-    let _ = writeln!(out, "({} events analyzed)", trace.len());
+    let _ = writeln!(out, "({} events analyzed)", analysis.events);
     out
 }
 
@@ -426,14 +430,19 @@ fn check(opts: &Options) -> Result<String, CliError> {
         Telemetry::disabled()
     };
     let (trace, watchdog) = produce_trace_with(opts, &telemetry)?;
-    let analysis = analyze_with(&trace, opts, &watchdog, &telemetry)?;
+    let analysis = analyze_with((&trace).into(), opts, &watchdog, &telemetry)?;
+    Ok(render_output(&analysis, opts))
+}
+
+/// The `check`/`trace` output: warnings as JSON, or rendered as text.
+fn render_output(analysis: &Analysis, opts: &Options) -> String {
     if opts.json {
-        return Ok(format!(
+        return format!(
             "{}\n",
             serde_json::to_string_pretty(&analysis.warnings).expect("warnings serialize")
-        ));
+        );
     }
-    Ok(render_analysis(&trace, &analysis, opts.dot))
+    render_analysis(analysis, opts.dot)
 }
 
 fn record(opts: &Options) -> Result<String, CliError> {
@@ -446,40 +455,34 @@ fn record(opts: &Options) -> Result<String, CliError> {
     Ok(format!("recorded {} events to {path}\n", trace.len()))
 }
 
-/// Reads and parses a trace file with structured diagnostics: an unreadable
-/// path is an I/O error (exit 3); unparseable contents are a malformed-input
-/// error (exit 4) naming the file, byte offset, and reason.
-///
-/// The format is sniffed from the first bytes: the VBT magic selects the
-/// binary reader, anything else streams through the incremental JSON
-/// parser. Neither path ever holds the input text in memory — peak
-/// allocation is one fixed read buffer plus the decoded trace, so
-/// multi-hundred-megabyte recordings load without tripling RSS.
-fn read_trace_file(path: &str) -> Result<Trace, CliError> {
-    use std::io::Read as _;
-    let mut file = std::fs::File::open(path).map_err(|e| io_err(format!("reading {path}: {e}")))?;
-    // Sniff up to the first 4 bytes, then replay them ahead of the rest of
-    // the stream so the chosen parser still sees the file from byte 0.
-    let mut head = [0u8; 4];
-    let mut got = 0usize;
-    while got < head.len() {
-        match file.read(&mut head[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(io_err(format!("reading {path}: {e}"))),
-        }
-    }
-    let src = head[..got].chain(file);
-    let result = if velodrome_events::is_vbt(&head[..got]) {
-        velodrome_events::read_vbt(src)
-    } else {
-        velodrome_events::read_json_trace(src)
-    };
-    result.map_err(|e| match e {
+/// Opens a trace file for streaming ([`velodrome_events::TraceSource`]):
+/// the format is sniffed from the first bytes, the VBT magic selecting the
+/// binary reader and anything else the incremental JSON parser. An
+/// unreadable path is an I/O error (exit 3); a bad VBT header is
+/// malformed input (exit 4), see [`read_error`].
+fn open_trace_file(path: &str) -> Result<velodrome_events::TraceSource<std::fs::File>, CliError> {
+    let file = std::fs::File::open(path).map_err(|e| io_err(format!("reading {path}: {e}")))?;
+    velodrome_events::TraceSource::open(file).map_err(|e| read_error(path, e))
+}
+
+/// A decoder error on the trace file at `path`: a failed read is an I/O
+/// error; contents that are not a trace are malformed input, named by
+/// file, byte offset and reason.
+fn read_error(path: &str, e: velodrome_events::TraceReadError) -> CliError {
+    match e {
         velodrome_events::TraceReadError::Io(e) => io_err(format!("reading {path}: {e}")),
         malformed => input_err(format!("malformed trace file {path}: {malformed}")),
-    })
+    }
+}
+
+/// Reads a whole trace file into memory, for the commands that need the
+/// complete trace (`convert`, `info`, `replay`, `compare`, `oracle`);
+/// `trace` and `check-batch` stream instead ([`Input::open`]). Peak
+/// allocation is one fixed read buffer plus the decoded trace.
+fn read_trace_file(path: &str) -> Result<Trace, CliError> {
+    open_trace_file(path)?
+        .read_to_trace()
+        .map_err(|e| read_error(path, e))
 }
 
 /// Writes `trace` to the file at `path` with one of the codecs'
@@ -532,15 +535,9 @@ fn load_trace(opts: &Options) -> Result<Trace, CliError> {
 }
 
 fn trace_cmd(opts: &Options) -> Result<String, CliError> {
-    let trace = load_trace(opts)?;
-    let analysis = analyze(&trace, opts, &WatchdogStats::default())?;
-    if opts.json {
-        return Ok(format!(
-            "{}\n",
-            serde_json::to_string_pretty(&analysis.warnings).expect("warnings serialize")
-        ));
-    }
-    Ok(render_analysis(&trace, &analysis, opts.dot))
+    let path = opts.positional.first().ok_or_else(|| err(USAGE))?;
+    let analysis = analyze(Input::open(path)?, opts, &WatchdogStats::default())?;
+    Ok(render_output(&analysis, opts))
 }
 
 /// Metric names every snapshot line must carry for downstream dashboards;

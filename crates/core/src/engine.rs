@@ -86,7 +86,9 @@ pub struct VelodromeConfig {
     /// *before* the first transition are byte-identical to an unbudgeted
     /// run.
     pub budget: ResourceBudget,
-    /// Symbol table used to render warnings and error graphs.
+    /// Symbol table used to render warnings and error graphs. Warnings are
+    /// rendered when taken, so a caller streaming a trace whose table comes
+    /// last can hand it over with [`Velodrome::set_names`] instead.
     pub names: SymbolTable,
     /// Telemetry registry the engine reports into (default: the disabled
     /// no-op handle — zero overhead, see the `velodrome-telemetry` crate).
@@ -309,6 +311,10 @@ pub struct Velodrome {
     r: HashMap<VarId, BTreeMap<ThreadId, Step>>,
     warnings: Vec<Warning>,
     reports: Vec<CycleReport>,
+    /// `(warning, report)` index pairs of the atomicity warnings in
+    /// `warnings` whose message and details are rendered from their report
+    /// when taken.
+    unrendered: Vec<(usize, usize)>,
     dedup: PerLabelDedup,
     stats: VelodromeStats,
     /// Variables excluded from happens-before edge creation after the
@@ -353,6 +359,7 @@ impl Velodrome {
             r: HashMap::new(),
             warnings: Vec::new(),
             reports: Vec::new(),
+            unrendered: Vec::new(),
             dedup: PerLabelDedup::new(),
             stats: VelodromeStats::default(),
             quarantined: HashSet::new(),
@@ -375,6 +382,14 @@ impl Velodrome {
             edges_elided: a.edges_elided,
             ..self.stats
         }
+    }
+
+    /// Replaces the symbol table warnings are rendered with
+    /// ([`VelodromeConfig::names`]). A streamed trace delivers its table
+    /// only after the last operation; hand it over before taking the
+    /// warnings.
+    pub fn set_names(&mut self, names: SymbolTable) {
+        self.cfg.names = names;
     }
 
     /// Full cycle reports collected so far (not drained by
@@ -891,16 +906,17 @@ impl Velodrome {
             self.reports.push(report);
             return;
         }
-        let warning = Warning {
+        self.unrendered
+            .push((self.warnings.len(), self.reports.len()));
+        self.warnings.push(Warning {
             tool: "velodrome",
             category: WarningCategory::Atomicity,
             label: attribution,
             thread: t,
             op_index: idx,
-            message: report.summary(&self.cfg.names),
-            details: Some(report.to_dot(&self.cfg.names)),
-        };
-        self.warnings.push(warning);
+            message: String::new(),
+            details: None,
+        });
         self.reports.push(report);
     }
 }
@@ -936,6 +952,12 @@ impl Tool for Velodrome {
     }
 
     fn take_warnings(&mut self) -> Vec<Warning> {
+        for (w, r) in self.unrendered.drain(..) {
+            let report = &self.reports[r];
+            let warning = &mut self.warnings[w];
+            warning.message = report.summary(&self.cfg.names);
+            warning.details = Some(report.to_dot(&self.cfg.names));
+        }
         std::mem::take(&mut self.warnings)
     }
 }

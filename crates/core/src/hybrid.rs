@@ -39,7 +39,7 @@ use crate::engine::{Velodrome, VelodromeConfig, VelodromeStats};
 use crate::report::CycleReport;
 use std::collections::VecDeque;
 use std::fmt;
-use velodrome_events::Op;
+use velodrome_events::{Op, SymbolTable};
 use velodrome_monitor::tool::{replay_ops, Tool, Warning, WarningCategory};
 use velodrome_telemetry::names;
 use velodrome_vclock::{AeroDrome, AeroDromeStats};
@@ -209,6 +209,15 @@ impl HybridVelodrome {
             buffered_peak: self.buffered_peak,
             truncated: self.truncated,
             engine: self.engine.as_ref().map(|e| e.stats()),
+        }
+    }
+
+    /// Replaces the symbol table warnings are rendered with (see
+    /// [`Velodrome::set_names`]).
+    pub fn set_names(&mut self, names: SymbolTable) {
+        match &mut self.engine {
+            Some(engine) => engine.set_names(names),
+            None => self.cfg.engine.names = names,
         }
     }
 

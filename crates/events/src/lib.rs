@@ -14,6 +14,8 @@
 //!   ([`Transactions`]);
 //! * [`oracle`] — an offline, from-first-principles serializability
 //!   decision procedure used as differential-testing ground truth;
+//! * [`source`] — [`TraceSource`], the one way in for trace bytes: it
+//!   sniffs the encoding and streams decoded operations into a sink;
 //! * [`stream`] — the JSON trace codec: a streaming reader with
 //!   byte-offset error reporting and bounded memory, and its writer;
 //! * [`vbt`] — the compact VBT binary trace format (varint ops, string
@@ -38,6 +40,7 @@ pub mod ids;
 pub mod op;
 pub mod oracle;
 pub mod semantics;
+pub mod source;
 pub mod stats;
 pub mod stream;
 pub mod trace;
@@ -46,10 +49,9 @@ pub mod vbt;
 
 pub use ids::{Label, LockId, SymbolTable, ThreadId, VarId};
 pub use op::Op;
+pub use source::{TraceSource, TraceSummary};
 pub use stats::TraceStats;
-pub use stream::{
-    read_json_trace, scan_json_trace, write_json_trace, JsonTraceSummary, TraceReadError,
-};
+pub use stream::{read_json_trace, scan_json_trace, write_json_trace, TraceReadError};
 pub use trace::{Trace, TraceBuilder};
 pub use txn::{Transactions, TxnId, TxnInfo};
 pub use vbt::{is_vbt, read_vbt, trace_to_vbt, write_vbt, VbtReader};

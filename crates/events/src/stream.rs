@@ -1,22 +1,25 @@
 //! The JSON trace codec: the one place that knows the trace JSON layout,
 //! in both directions.
 //!
-//! [`read_json_trace`] parses trace JSON directly off an [`std::io::Read`]
-//! stream with one bounded buffer and no intermediate value tree: peak
-//! memory is the decoded operations themselves (or nothing at all with
-//! [`scan_json_trace`], which hands each operation to a callback as it is
-//! decoded). [`write_json_trace`] is its mirror image: it renders a
-//! [`Trace`] into an [`std::io::Write`] through one bounded buffer.
-//! [`Trace::from_json`] and [`Trace::to_json`] are thin wrappers over the
-//! two. The binary VBT reader ([`crate::vbt`]) shares the same buffered
-//! byte source and error type.
+//! The reader parses trace JSON directly off an [`std::io::Read`] stream
+//! with one bounded buffer and no intermediate value tree, handing each
+//! operation on as it is decoded: [`crate::TraceSource`] drives it for
+//! files of either format, [`scan_json_trace`] streams a JSON trace into a
+//! callback, and [`read_json_trace`] collects one into a [`Trace`].
+//! [`write_json_trace`] is its mirror image: it renders a [`Trace`] into
+//! an [`std::io::Write`] through one bounded buffer. [`Trace::from_json`]
+//! and [`Trace::to_json`] are thin wrappers over the two. The binary VBT
+//! reader ([`crate::vbt`]) shares the same buffered byte source and error
+//! type.
 //!
 //! The layout is `{"ops":[…],"names":{…},"synthesized":[…]}`: each
 //! operation is externally tagged (`{"Read":{"t":0,"x":1}}`), `names`
 //! holds the `threads`, `vars`, `locks`, and `labels` id→name maps, and
 //! `synthesized` is omitted when empty. The writer emits map keys sorted
 //! as strings (`"10"` before `"2"`); the reader accepts any key order,
-//! whitespace, and unknown keys.
+//! whitespace, and unknown keys. Because `names` and `synthesized` follow
+//! `ops`, a streaming reader learns them, and finds their errors (and
+//! trailing data), only after the last operation.
 //!
 //! Every read error carries the absolute byte offset of the first byte
 //! that could not be interpreted, so CLI diagnostics can point into the
@@ -24,6 +27,7 @@
 
 use crate::ids::SymbolTable;
 use crate::op::Op;
+use crate::source::{TraceSource, TraceSummary};
 use crate::trace::Trace;
 use crate::{Label, LockId, ThreadId, VarId};
 use std::fmt;
@@ -147,6 +151,30 @@ impl<R: Read> ByteStream<R> {
         })
     }
 
+    /// Up to `n` (at most the buffer size) next bytes without consuming
+    /// them; fewer only when the stream ends first.
+    pub(crate) fn peek_prefix(&mut self, n: usize) -> Result<&[u8], TraceReadError> {
+        debug_assert!(n <= self.buf.len());
+        if self.len - self.pos < n && !self.eof {
+            self.buf.copy_within(self.pos..self.len, 0);
+            self.base += self.pos as u64;
+            self.len -= self.pos;
+            self.pos = 0;
+            while self.len < n {
+                match self.src.read(&mut self.buf[self.len..]) {
+                    Ok(0) => {
+                        self.eof = true;
+                        break;
+                    }
+                    Ok(got) => self.len += got,
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                    Err(e) => return Err(TraceReadError::Io(e)),
+                }
+            }
+        }
+        Ok(&self.buf[self.pos..self.len.min(self.pos + n)])
+    }
+
     /// Consumes the byte last returned by a successful [`Self::peek`].
     pub(crate) fn bump(&mut self) {
         debug_assert!(self.pos < self.len);
@@ -185,30 +213,13 @@ impl<R: Read> ByteStream<R> {
     }
 }
 
-/// What a streamed JSON trace carries besides the operations themselves.
-/// Returned by [`scan_json_trace`].
-#[derive(Debug)]
-pub struct JsonTraceSummary {
-    /// The trace's symbol table.
-    pub names: SymbolTable,
-    /// Sorted, deduplicated indices of synthesized operations, validated
-    /// to be in bounds.
-    pub synthesized: Vec<usize>,
-    /// Number of operations streamed to the callback.
-    pub ops: usize,
-}
-
 /// Parses a JSON trace incrementally from `src` into a [`Trace`].
 ///
 /// Never holds the input text (or a JSON value tree) in memory: peak
 /// allocation is one fixed 64 KiB read buffer plus the decoded trace
 /// itself.
 pub fn read_json_trace<R: Read>(src: R) -> Result<Trace, TraceReadError> {
-    let mut ops = Vec::new();
-    let summary = scan_json_trace(src, |_, op| ops.push(op))?;
-    // Bounds were validated by the scan; re-assembly cannot fail.
-    Trace::from_raw_parts(ops, summary.names, summary.synthesized)
-        .map_err(|reason| TraceReadError::malformed(0, reason))
+    TraceSource::json(JsonParser::new(src)).read_to_trace()
 }
 
 /// Parses a JSON trace incrementally, invoking `on_op(index, op)` for each
@@ -219,7 +230,7 @@ pub fn read_json_trace<R: Read>(src: R) -> Result<Trace, TraceReadError> {
 pub fn scan_json_trace<R: Read, F: FnMut(usize, Op)>(
     src: R,
     on_op: F,
-) -> Result<JsonTraceSummary, TraceReadError> {
+) -> Result<TraceSummary, TraceReadError> {
     JsonParser::new(src).parse_trace(on_op)
 }
 
@@ -467,7 +478,8 @@ impl Tag {
 
 const MAX_DEPTH: u32 = 128;
 
-struct JsonParser<R> {
+/// The streaming JSON trace reader.
+pub(crate) struct JsonParser<R> {
     s: ByteStream<R>,
     /// Reusable decode buffer for string contents, so steady-state parsing
     /// performs no per-token allocation.
@@ -476,8 +488,12 @@ struct JsonParser<R> {
 
 impl<R: Read> JsonParser<R> {
     fn new(src: R) -> Self {
+        Self::from_stream(ByteStream::new(src))
+    }
+
+    pub(crate) fn from_stream(s: ByteStream<R>) -> Self {
         Self {
-            s: ByteStream::new(src),
+            s,
             scratch: Vec::with_capacity(64),
         }
     }
@@ -702,10 +718,12 @@ impl<R: Read> JsonParser<R> {
         Ok(())
     }
 
-    fn parse_trace<F: FnMut(usize, Op)>(
+    /// Parses the whole document, handing each operation to `on_op` as it
+    /// is decoded.
+    pub(crate) fn parse_trace<F: FnMut(usize, Op)>(
         mut self,
         mut on_op: F,
-    ) -> Result<JsonTraceSummary, TraceReadError> {
+    ) -> Result<TraceSummary, TraceReadError> {
         self.skip_ws()?;
         self.expect(b'{', "a trace object")?;
         let mut names: Option<SymbolTable> = None;
@@ -765,7 +783,7 @@ impl<R: Read> JsonParser<R> {
                 )));
             }
         }
-        Ok(JsonTraceSummary {
+        Ok(TraceSummary {
             names,
             synthesized,
             ops,

@@ -42,30 +42,21 @@ impl Trace {
         }
     }
 
-    /// Assembles a trace from deserialized parts, normalizing the
-    /// synthesized-index list (sorted, deduplicated) and rejecting indices
-    /// that point past the end of the operation list. Shared by the JSON
-    /// and binary (VBT) readers so both enforce identical invariants.
+    /// Assembles a trace from decoded parts. The readers have already
+    /// sorted, deduplicated and bounds-checked the synthesized indices (see
+    /// [`crate::TraceSummary`]).
     pub(crate) fn from_raw_parts(
         ops: Vec<Op>,
         names: SymbolTable,
-        mut synthesized: Vec<usize>,
-    ) -> Result<Self, String> {
-        synthesized.sort_unstable();
-        synthesized.dedup();
-        if let Some(&last) = synthesized.last() {
-            if last >= ops.len() {
-                return Err(format!(
-                    "synthesized index {last} out of bounds for {} ops",
-                    ops.len()
-                ));
-            }
-        }
-        Ok(Self {
+        synthesized: Vec<usize>,
+    ) -> Self {
+        debug_assert!(synthesized.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(synthesized.last().map_or(true, |&last| last < ops.len()));
+        Self {
             ops,
             names,
             synthesized,
-        })
+        }
     }
 
     /// Flags the operation at `index` as synthesized (inserted by the

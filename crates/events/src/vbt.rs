@@ -38,10 +38,14 @@
 //! | 7   | Join    | `t`, `child` |
 //!
 //! A zero-length frame is the end-of-trace sentinel; trailing bytes after
-//! it are an error, so truncation anywhere is detected. Hostile inputs are
-//! bounded everywhere: names over [`MAX_NAME_LEN`], tables over
-//! [`MAX_TABLE_ENTRIES`], and frames over [`MAX_FRAME_LEN`] are rejected
-//! as string-table / frame overflows rather than allocated.
+//! it are an error, so truncation anywhere is detected. The synthesized
+//! indices precede the operations, so their bounds against the operation
+//! count are checked at the sentinel: a streaming consumer
+//! ([`crate::TraceSource`]) sees both errors only after the last
+//! operation. Hostile inputs are bounded everywhere: names over
+//! [`MAX_NAME_LEN`], tables over [`MAX_TABLE_ENTRIES`], and frames over
+//! [`MAX_FRAME_LEN`] are rejected as string-table / frame overflows rather
+//! than allocated.
 //!
 //! Every error carries the absolute byte offset of the first
 //! uninterpretable byte, matching the streaming JSON reader
@@ -49,6 +53,7 @@
 
 use crate::ids::SymbolTable;
 use crate::op::Op;
+use crate::source::{TraceSource, TraceSummary};
 use crate::stream::{ByteStream, Tag, TraceReadError};
 use crate::trace::Trace;
 use crate::ThreadId;
@@ -143,7 +148,7 @@ pub fn trace_to_vbt(trace: &Trace) -> Vec<u8> {
 
 /// Reads a complete VBT trace from `src`.
 pub fn read_vbt<R: Read>(src: R) -> Result<Trace, TraceReadError> {
-    VbtReader::new(src)?.read_to_trace()
+    TraceSource::vbt(VbtReader::new(src)?).read_to_trace()
 }
 
 /// A streaming VBT reader.
@@ -175,7 +180,10 @@ impl<R: Read> VbtReader<R> {
     /// Opens a VBT stream: checks the magic and version, then reads the
     /// string tables and synthesized indices.
     pub fn new(src: R) -> Result<Self, TraceReadError> {
-        let mut s = ByteStream::new(src);
+        Self::from_stream(ByteStream::new(src))
+    }
+
+    pub(crate) fn from_stream(mut s: ByteStream<R>) -> Result<Self, TraceReadError> {
         let mut magic = [0u8; 4];
         s.read_exact(&mut magic)?;
         if magic != MAGIC {
@@ -271,7 +279,7 @@ impl<R: Read> VbtReader<R> {
     }
 
     /// Sorted indices of synthesized operations. Bounds against the
-    /// operation count are validated once the final frame has been read.
+    /// operation count are validated at the end-of-trace sentinel.
     pub fn synthesized(&self) -> &[usize] {
         &self.synthesized
     }
@@ -318,7 +326,9 @@ impl<R: Read> VbtReader<R> {
     }
 
     /// Decodes the next operation, or `None` after the end-of-trace
-    /// sentinel.
+    /// sentinel. Reaching the sentinel also checks what only the end can
+    /// show: that no bytes follow it, and that every synthesized index is
+    /// below the operation count.
     pub fn next_op(&mut self) -> Result<Option<Op>, TraceReadError> {
         loop {
             if self.frame_ops_left > 0 {
@@ -347,6 +357,17 @@ impl<R: Read> VbtReader<R> {
                         self.s.offset(),
                         "trailing data after end-of-trace frame",
                     ));
+                }
+                if let Some(&last) = self.synthesized.last() {
+                    if last >= self.ops_read {
+                        return Err(TraceReadError::malformed(
+                            self.s.offset(),
+                            format!(
+                                "synthesized index {last} out of bounds for {} ops",
+                                self.ops_read
+                            ),
+                        ));
+                    }
                 }
                 return Ok(None);
             }
@@ -395,17 +416,14 @@ impl<R: Read> VbtReader<R> {
         Ok(tag.build(t, operand))
     }
 
-    /// Drains the remaining operations and assembles the [`Trace`],
-    /// validating the synthesized indices against the final operation
-    /// count.
-    pub fn read_to_trace(mut self) -> Result<Trace, TraceReadError> {
-        let mut ops = Vec::new();
-        while let Some(op) = self.next_op()? {
-            ops.push(op);
+    /// What the stream carried besides its operations; complete once
+    /// [`Self::next_op`] has returned `None`.
+    pub(crate) fn into_summary(self) -> TraceSummary {
+        TraceSummary {
+            names: self.names,
+            synthesized: self.synthesized,
+            ops: self.ops_read,
         }
-        let offset = self.s.offset();
-        Trace::from_raw_parts(ops, self.names, self.synthesized)
-            .map_err(|reason| TraceReadError::malformed(offset, reason))
     }
 }
 
@@ -609,6 +627,17 @@ mod tests {
         bytes.push(0);
         let e = read_vbt(&bytes[..]).unwrap_err();
         assert!(e.to_string().contains("out of bounds"), "{e}");
+        // A `next_op` loop hits the same check at the end-of-trace
+        // sentinel: same message, same offset.
+        let mut r = VbtReader::new(&bytes[..]).unwrap();
+        let streamed = loop {
+            match r.next_op() {
+                Ok(Some(_)) => continue,
+                Ok(None) => panic!("next_op accepted an out-of-bounds synthesized index"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(streamed.to_string(), e.to_string());
     }
 
     #[test]

@@ -215,6 +215,11 @@ impl<T: Tool> SpecFilter<T> {
     pub fn inner(&self) -> &T {
         &self.inner
     }
+
+    /// Mutably borrows the inner tool.
+    pub fn inner_mut(&mut self) -> &mut T {
+        &mut self.inner
+    }
 }
 
 impl<T: Tool> Tool for SpecFilter<T> {

@@ -108,6 +108,28 @@ cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/batch/metrics.js
     --require=batch.traces_checked,batch.traces_failed,batch.traces_quarantined,batch.events_total,batch.events_per_sec,batch.warnings_total,batch.jobs \
     >/dev/null
 
+echo "==> truncated VBT input exits with code 4 and fails its batch line"
+# Dropping the last byte removes the end-of-trace sentinel: the defect shows
+# only after every operation has streamed into the backend.
+mkdir -p "$tmp/badvbt"
+head -c -1 "$tmp/batch/a.vbt" > "$tmp/badvbt/cut.vbt"
+set +e
+cargo run --release -q -p velodrome-cli -- trace "$tmp/badvbt/cut.vbt" >"$tmp/out" 2>"$tmp/err"
+code=$?
+set -e
+if [[ "$code" -ne 4 || -s "$tmp/out" ]]; then
+    echo "expected exit code 4 and no verdict for truncated VBT, got $code" >&2
+    cat "$tmp/out" "$tmp/err" >&2
+    exit 1
+fi
+cargo run --release -q -p velodrome-cli -- check-batch "$tmp/badvbt" \
+    --report="$tmp/badvbt.jsonl" >/dev/null
+if ! grep -q '"status":"error"' "$tmp/badvbt.jsonl"; then
+    echo "truncated VBT: check-batch did not report \"status\":\"error\"" >&2
+    cat "$tmp/badvbt.jsonl" >&2
+    exit 1
+fi
+
 echo "==> cross-backend differential suite + conformance corpus + backend registry"
 cargo test -q -p velodrome-integration --test atomicity_differential >/dev/null
 cargo test -q -p velodrome-integration --test corpus_conformance >/dev/null
