@@ -9,18 +9,17 @@
 //!   (Section 6);
 //! * [`report`] — plain-text table rendering.
 //!
-//! Binaries `table1`, `table2`, `injection`, and `graph_stats` print the
-//! paper-style tables; `cargo bench -p velodrome-bench` runs the Criterion
-//! timing harness behind Table 1's performance columns. The `hotpath`
-//! binary (module [`hotpath`]) measures the redundant-edge elision and
-//! epoch-cache fast paths and emits `BENCH_hotpath.json`. The `chaos`
-//! binary (module [`chaos`]) replays a fixed-seed trace under the built-in
-//! fault-plan set and asserts the fault-tolerance contract. The `batch`
-//! binary (module [`batch`]) measures aggregate checking throughput for a
-//! JSON-serial pipeline against the VBT-parallel `check-batch` runner and
-//! emits `BENCH_batch.json`.
+//! Binaries `table1`, `table2`, `injection`, `policies`, `graph_stats`,
+//! `gc_timeline`, and `stress` regenerate the paper's tables and studies;
+//! `table1`'s overhead column is the paper's slowdown relative to the
+//! Empty tool. The `chaos` binary (module [`chaos`]) replays a fixed-seed
+//! trace under the built-in fault-plan set and asserts the fault-tolerance
+//! contract.
+//! `cargo bench -p velodrome-bench` runs the Criterion `ablation` bench
+//! (merge and GC on/off). Timing the checker end to end and per layer is
+//! the job of `perfbench/`, which generates its fan-in workload with
+//! [`hotpath::fanin_stress_trace`].
 
-pub mod batch;
 pub mod chaos;
 pub mod hotpath;
 pub mod injection;

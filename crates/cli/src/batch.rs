@@ -30,7 +30,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use velodrome_events::Trace;
 use velodrome_monitor::Warning;
 use velodrome_sim::WatchdogStats;
 use velodrome_telemetry::{names, MetricValue, Snapshot, Telemetry};
@@ -225,15 +224,6 @@ impl BatchReport {
             self.events_per_sec(),
         )
     }
-}
-
-/// Analyzes one already-loaded trace exactly as the batch runner (and
-/// `velodrome trace`) would, returning the backend's warnings and notes.
-/// The serial leg of the `batch` bench uses this to prove the parallel
-/// runner's verdicts byte-identical.
-pub fn check_trace(trace: &Trace, backend: &str) -> Result<(Vec<Warning>, Vec<String>), CliError> {
-    let analysis = (backend::select(backend, false)?.run)(trace.into(), &Settings::default())?;
-    Ok((analysis.warnings, analysis.notes))
 }
 
 /// Checks one trace file end to end: open it (either format), stream it

@@ -6,6 +6,10 @@
 //! has analyzed the whole trace; the file must still be rejected with the
 //! decoder's message and byte offset, and no verdict or final metrics
 //! snapshot may escape.
+//!
+//! The same holds for the first operation naming a thread id at or over
+//! `MAX_THREADS` (2^16): analyses index per-thread tables by id, so such an
+//! id is malformed input, rejected before any table is sized by it.
 
 use std::path::{Path, PathBuf};
 use velodrome_cli::backend::BACKENDS;
@@ -73,12 +77,58 @@ fn tail_defects() -> Vec<(&'static str, Vec<u8>, &'static str)> {
     ]
 }
 
-/// Writes the defective files into a fresh directory named for `test`.
-fn write_defects(test: &str) -> (PathBuf, Vec<(PathBuf, &'static str)>) {
+/// `(file name, contents, expected decoder error)` for one operation
+/// naming a thread id out of range, as `t` or as a fork/join `child`.
+fn huge_thread_ids() -> Vec<(&'static str, Vec<u8>, &'static str)> {
+    let json = |op: &str| {
+        format!(
+            r#"{{"ops":[{op}],"names":{{"threads":{{}},"vars":{{}},"locks":{{}},"labels":{{}}}}}}"#
+        )
+        .into_bytes()
+    };
+    // Empty string tables, no synthesized indices, one frame holding `op`.
+    let vbt = |op: &[u8]| {
+        let mut bytes = b"VBTF\x01\0\0\0\0\0".to_vec();
+        bytes.extend_from_slice(&[op.len() as u8 + 1, 1]);
+        bytes.extend_from_slice(op);
+        bytes.push(0);
+        bytes
+    };
+    vec![
+        (
+            "json_huge_t.json",
+            json(r#"{"Write":{"t":3000000000,"x":0}}"#),
+            "byte 32: thread id 3000000000 out of range (must be below 65536)",
+        ),
+        (
+            "json_huge_child.json",
+            json(r#"{"Fork":{"t":0,"child":65536}}"#),
+            "byte 36: thread id 65536 out of range (must be below 65536)",
+        ),
+        // Write, t = 3,000,000,000 as a five-byte varint, x = 0.
+        (
+            "vbt_huge_t.vbt",
+            vbt(&[1, 0x80, 0xbc, 0xc1, 0x96, 0x0b, 0]),
+            "byte 18: thread id 3000000000 out of range (must be below 65536)",
+        ),
+        // Join, t = 0, child = 65,536.
+        (
+            "vbt_huge_child.vbt",
+            vbt(&[7, 0, 0x80, 0x80, 0x04]),
+            "byte 17: thread id 65536 out of range (must be below 65536)",
+        ),
+    ]
+}
+
+/// Writes `defects` into a fresh directory named for `test`.
+fn write_defects(
+    test: &str,
+    defects: Vec<(&str, Vec<u8>, &'static str)>,
+) -> (PathBuf, Vec<(PathBuf, &'static str)>) {
     let dir = std::env::temp_dir().join(format!("velodrome-cli-tail-{test}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let files = tail_defects()
+    let files = defects
         .into_iter()
         .map(|(name, bytes, reason)| {
             let path = dir.join(name);
@@ -93,10 +143,9 @@ fn expected_message(path: &Path, reason: &str) -> String {
     format!("malformed trace file {}: {reason}", path.display())
 }
 
-#[test]
-fn trace_rejects_tail_defects_on_every_backend() {
-    let (dir, files) = write_defects("trace");
-    for (path, reason) in &files {
+/// `trace FILE` exits 4 with the decoder's message on every backend.
+fn assert_trace_rejects(files: &[(PathBuf, &str)]) {
+    for (path, reason) in files {
         let file = path.to_str().unwrap();
         for backend in BACKENDS {
             let flag = format!("--backend={}", backend.name);
@@ -107,12 +156,25 @@ fn trace_rejects_tail_defects_on_every_backend() {
             assert_eq!(e.message, expected_message(path, reason), "{flag}");
         }
     }
+}
+
+#[test]
+fn trace_rejects_tail_defects_on_every_backend() {
+    let (dir, files) = write_defects("trace", tail_defects());
+    assert_trace_rejects(&files);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trace_rejects_huge_thread_ids_on_every_backend() {
+    let (dir, files) = write_defects("huge-trace", huge_thread_ids());
+    assert_trace_rejects(&files);
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn metered_trace_writes_no_final_snapshot_for_tail_defects() {
-    let (dir, files) = write_defects("metrics");
+    let (dir, files) = write_defects("metrics", tail_defects());
     for (path, reason) in &files {
         let file = path.to_str().unwrap();
         for backend in BACKENDS.iter().filter(|b| b.metered) {
@@ -144,7 +206,7 @@ fn metered_trace_writes_no_final_snapshot_for_tail_defects() {
 
 #[test]
 fn check_batch_reports_tail_defects_as_errors() {
-    let (dir, files) = write_defects("batch");
+    let (dir, files) = write_defects("batch", tail_defects());
     let report = dir.join("report.jsonl");
     let out = run(&[
         "check-batch",
@@ -171,5 +233,42 @@ fn check_batch_reports_tail_defects_as_errors() {
             "{line:?}"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn check_batch_reports_a_huge_thread_id_beside_a_good_trace() {
+    let (dir, files) = write_defects("huge-batch", huge_thread_ids());
+    let (bad, reason) = &files[0];
+    for (path, _) in &files[1..] {
+        std::fs::remove_file(path).unwrap();
+    }
+    let good = dir.join("good.json");
+    std::fs::write(&good, rmw_trace().to_json()).unwrap();
+    let report = dir.join("report.jsonl");
+    let out = run(&[
+        "check-batch",
+        dir.to_str().unwrap(),
+        &format!("--report={}", report.display()),
+    ])
+    .unwrap();
+    assert!(out.contains("1 failed"), "{out}");
+    let text = std::fs::read_to_string(&report).unwrap();
+    let lines: Vec<serde_json::Value> = text
+        .lines()
+        .map(|line| serde_json::from_str(line).unwrap())
+        .collect();
+    let line = |path: &Path| {
+        lines
+            .iter()
+            .find(|l| l["path"].as_str() == Some(&*path.display().to_string()))
+            .unwrap_or_else(|| panic!("{} is missing from the report", path.display()))
+    };
+    assert_eq!(line(bad)["status"], "error");
+    assert_eq!(
+        line(bad)["error"].as_str(),
+        Some(&*expected_message(bad, reason))
+    );
+    assert_eq!(line(&good)["status"], "ok");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -195,8 +195,7 @@ impl VelodromeStats {
     /// Graph node + edge operations performed: nodes allocated plus edge
     /// insertions attempted (stored or elided). This is the per-event
     /// graph-maintenance cost the hybrid backend's vector-clock screen
-    /// avoids on serializable traces; the `hotpath` benchmark compares it
-    /// across backends.
+    /// avoids on serializable traces (perfbench's `core.engine.graph_ops`).
     pub fn graph_ops(&self) -> u64 {
         self.nodes_allocated + self.edges_added + self.edges_elided
     }

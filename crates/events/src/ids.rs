@@ -53,6 +53,28 @@ id_type!(
     ThreadId,
     "T"
 );
+
+/// Exclusive upper bound on thread ids. Analyses index per-thread tables
+/// by id, so a huge id in a hostile file would otherwise allocate a table
+/// that long (gigabytes for a single operation). 2^16 is the same order as
+/// the engine arena's ceiling of 65,535 simultaneously live transactions.
+/// Both trace readers reject a `t` or fork/join `child` at or over it as
+/// malformed input, with a byte offset.
+pub const MAX_THREADS: u32 = 1 << 16;
+
+impl ThreadId {
+    /// Checks a decoded thread id against [`MAX_THREADS`]; the error is
+    /// the reason a reader reports.
+    pub(crate) fn checked(raw: u64) -> Result<Self, String> {
+        match u32::try_from(raw) {
+            Ok(id) if id < MAX_THREADS => Ok(Self(id)),
+            _ => Err(format!(
+                "thread id {raw} out of range (must be below {MAX_THREADS})"
+            )),
+        }
+    }
+}
+
 id_type!(
     /// A shared-variable identifier (`x ∈ Var`).
     ///

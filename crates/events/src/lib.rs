@@ -47,7 +47,7 @@ pub mod trace;
 pub mod txn;
 pub mod vbt;
 
-pub use ids::{Label, LockId, SymbolTable, ThreadId, VarId};
+pub use ids::{Label, LockId, SymbolTable, ThreadId, VarId, MAX_THREADS};
 pub use op::Op;
 pub use source::{TraceSource, TraceSummary};
 pub use stats::TraceStats;

@@ -631,6 +631,13 @@ impl<R: Read> JsonParser<R> {
         u32::try_from(v).map_err(|_| self.fail(format!("{what} {v} out of range")))
     }
 
+    /// Parses a thread id (`t`, or a fork/join `child`) below
+    /// [`crate::MAX_THREADS`].
+    fn parse_thread(&mut self) -> Result<ThreadId, TraceReadError> {
+        let v = self.parse_u64()?;
+        ThreadId::checked(v).map_err(|reason| self.fail(reason))
+    }
+
     /// Skips one JSON value of any shape (used for unknown keys).
     fn skip_value(&mut self, depth: u32) -> Result<(), TraceReadError> {
         if depth > MAX_DEPTH {
@@ -835,7 +842,7 @@ impl<R: Read> JsonParser<R> {
         self.expect(b':', "`:`")?;
         self.skip_ws()?;
         self.expect(b'{', "an operation body")?;
-        let mut t: Option<u32> = None;
+        let mut t: Option<ThreadId> = None;
         let mut operand: Option<u32> = None;
         self.skip_ws()?;
         if self.s.peek()? == Some(b'}') {
@@ -861,7 +868,10 @@ impl<R: Read> JsonParser<R> {
                 self.expect(b':', "`:`")?;
                 self.skip_ws()?;
                 match field {
-                    Field::Thread => t = Some(self.parse_u32("thread id")?),
+                    Field::Thread => t = Some(self.parse_thread()?),
+                    Field::Operand if matches!(tag, Tag::Fork | Tag::Join) => {
+                        operand = Some(self.parse_thread()?.raw())
+                    }
                     Field::Operand => operand = Some(self.parse_u32("identifier")?),
                     Field::Unknown => self.skip_value(0)?,
                 }
@@ -890,9 +900,7 @@ impl<R: Read> JsonParser<R> {
                 _ => return Err(self.fail("expected `,` or `}` in operation object")),
             }
         }
-        let t = ThreadId::new(
-            t.ok_or_else(|| self.fail(format!("missing field `t` in {}", tag.name())))?,
-        );
+        let t = t.ok_or_else(|| self.fail(format!("missing field `t` in {}", tag.name())))?;
         let operand = match tag.operand() {
             Some(field) => operand
                 .ok_or_else(|| self.fail(format!("missing field `{field}` in {}", tag.name())))?,

@@ -45,7 +45,8 @@
 //! operation. Hostile inputs are bounded everywhere: names over
 //! [`MAX_NAME_LEN`], tables over [`MAX_TABLE_ENTRIES`], and frames over
 //! [`MAX_FRAME_LEN`] are rejected as string-table / frame overflows rather
-//! than allocated.
+//! than allocated, and thread ids at or over [`crate::MAX_THREADS`] are
+//! rejected before an analysis sizes a per-thread table by them.
 //!
 //! Every error carries the absolute byte offset of the first
 //! uninterpretable byte, matching the streaming JSON reader
@@ -318,6 +319,12 @@ impl<R: Read> VbtReader<R> {
         }
     }
 
+    fn frame_thread(&mut self) -> Result<ThreadId, TraceReadError> {
+        let v = self.frame_varint()?;
+        ThreadId::checked(v)
+            .map_err(|reason| TraceReadError::malformed(self.frame_offset(), reason))
+    }
+
     fn frame_id(&mut self, what: &str) -> Result<u32, TraceReadError> {
         let v = self.frame_varint()?;
         u32::try_from(v).map_err(|_| {
@@ -399,7 +406,7 @@ impl<R: Read> VbtReader<R> {
             ));
         };
         self.frame_pos += 1;
-        let t = ThreadId::new(self.frame_id("thread id")?);
+        let t = self.frame_thread()?;
         let Some(&tag) = Tag::ALL.get(tag as usize) else {
             return Err(TraceReadError::malformed(
                 self.frame_base + self.frame_pos as u64 - 1,
@@ -411,7 +418,7 @@ impl<R: Read> VbtReader<R> {
             Tag::Acquire | Tag::Release => self.frame_id("lock id")?,
             Tag::Begin => self.frame_id("label id")?,
             Tag::End => 0,
-            Tag::Fork | Tag::Join => self.frame_id("thread id")?,
+            Tag::Fork | Tag::Join => self.frame_thread()?.raw(),
         };
         Ok(tag.build(t, operand))
     }

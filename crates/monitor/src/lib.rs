@@ -10,8 +10,8 @@
 //!   paper's `Empty` baseline back-end;
 //! * [`spec`] — [`AtomicitySpec`], selecting which atomic blocks to check;
 //! * [`filter`] — RoadRunner's front-end filters (re-entrant lock
-//!   filtering, thread-local filtering) as tool combinators plus sound
-//!   offline variants;
+//!   filtering, thread-local filtering) and the atomicity-spec filter, as
+//!   tool combinators;
 //! * [`shim`] — instrumentation shims ([`shim::Shared`], [`shim::TLock`],
 //!   [`shim::Runtime::atomic`]) so real multithreaded Rust code can be
 //!   monitored live, the substitution this reproduction uses in place of
