@@ -32,20 +32,21 @@ fn main() {
     std::panic::set_hook(hook);
     let mut failures = 0;
     for o in &outcomes {
+        let c = &o.contract;
         println!(
             "{:<28} {:>14} {:>12} {:>9} {:>10} {:>6}",
             o.plan.to_string(),
-            o.ladder.to_string(),
-            o.degraded_at
+            c.ladder.to_string(),
+            c.degraded_at
                 .map(|i| i.to_string())
                 .unwrap_or_else(|| "-".into()),
-            o.verdicts,
-            o.events_delivered,
-            if o.ok() { "ok" } else { "FAIL" }
+            o.run.verdicts().count(),
+            o.run.telemetry.events_seen,
+            if c.upheld() { "ok" } else { "FAIL" }
         );
-        if !o.ok() {
+        if !c.upheld() {
             failures += 1;
-            if let Some((clean, faulted)) = &o.divergence {
+            if let Some((clean, faulted)) = &c.divergence {
                 eprintln!(
                     "  pre-degradation verdict divergence:\n    clean:   {clean:?}\n    faulted: {faulted:?}"
                 );
@@ -55,10 +56,10 @@ fn main() {
 
     // The clean control must stay at full fidelity, and at least one fault
     // must actually exercise the ladder — otherwise the harness is vacuous.
-    let clean_full = outcomes
-        .first()
-        .is_some_and(|o| o.ladder == DegradationLevel::Full && o.degraded_at.is_none());
-    let some_degraded = outcomes.iter().any(|o| o.degraded_at.is_some());
+    let clean_full = outcomes.first().is_some_and(|o| {
+        o.contract.ladder == DegradationLevel::Full && o.contract.degraded_at.is_none()
+    });
+    let some_degraded = outcomes.iter().any(|o| o.contract.degraded_at.is_some());
     if !clean_full {
         eprintln!("chaos: clean control run degraded");
         failures += 1;

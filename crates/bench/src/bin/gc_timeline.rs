@@ -2,7 +2,7 @@
 //! effective; we typically have at most a few dozen live nodes at any
 //! time": samples the live-node count as the analysis consumes a trace.
 //!
-//! Usage: `cargo run --release -p velodrome-bench --bin gc_timeline [--scale=8] [--workload-index=2]`
+//! Usage: `cargo run --release -p velodrome-bench --bin gc_timeline [--scale=8]`
 
 use velodrome::{Velodrome, VelodromeConfig};
 use velodrome_bench::{arg_u64, report};

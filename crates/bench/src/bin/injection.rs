@@ -1,6 +1,6 @@
 //! Regenerates the Section 6 defect-injection study (elevator and colt).
 //!
-//! Usage: `cargo run --release -p velodrome-bench --bin injection [--scale=1] [--seeds=10] [--pause=40]`
+//! Usage: `cargo run --release -p velodrome-bench --bin injection [--scale=2] [--seeds=10] [--pause=400]`
 
 use velodrome_bench::{arg_u64, injection};
 

@@ -10,8 +10,8 @@
 
 use velodrome::{Velodrome, VelodromeConfig};
 use velodrome_events::Trace;
-use velodrome_monitor::chaos::{prefix_divergence, run_plan, ChaosRun, PanicAt};
-use velodrome_monitor::{DegradationLevel, Fault, FaultPlan};
+use velodrome_monitor::chaos::{check_contract, run_plan, ChaosRun, Contract};
+use velodrome_monitor::FaultPlan;
 use velodrome_sim::{run_program, RandomScheduler};
 
 /// Outcome of one fault plan, with the contract checks evaluated.
@@ -19,69 +19,20 @@ use velodrome_sim::{run_program, RandomScheduler};
 pub struct PlanOutcome {
     /// The plan that ran.
     pub plan: FaultPlan,
-    /// Ladder rung the run landed in (driver and engine combined).
-    pub ladder: DegradationLevel,
-    /// Event index where the run degraded, if it did.
-    pub degraded_at: Option<usize>,
-    /// Verdict (non-`Degraded`) warnings produced.
-    pub verdicts: usize,
-    /// Events delivered to the tool (including synthesized closers).
-    pub events_delivered: usize,
-    /// Closing events synthesized for a host-death cut.
-    pub synthesized: usize,
-    /// `None` if every pre-degradation verdict matched the clean run
-    /// byte-for-byte; otherwise the first divergence.
-    pub divergence: Option<(Option<String>, Option<String>)>,
+    /// The faulted run.
+    pub run: ChaosRun,
+    /// The contract evaluated against the clean control run.
+    pub contract: Contract,
 }
 
-impl PlanOutcome {
-    /// Did this plan uphold the fault-tolerance contract?
-    pub fn ok(&self) -> bool {
-        let pinpointed = self.ladder == DegradationLevel::Full || self.degraded_at.is_some();
-        self.divergence.is_none() && pinpointed
-    }
-}
-
-/// The engine's ladder transitions surface as `Degraded` warnings; combine
-/// them with the driver-side ladder to get the run's effective rung.
-fn effective_ladder(run: &ChaosRun) -> DegradationLevel {
-    let mut ladder = run.ladder;
-    for w in &run.warnings {
-        if w.category != velodrome_monitor::WarningCategory::Degraded {
-            continue;
-        }
-        for level in DegradationLevel::ALL {
-            if w.message.contains(&format!("degraded to {level}")) && level > ladder {
-                ladder = level;
-            }
-        }
-    }
-    ladder
-}
-
-/// First event index at which the run reports a `Degraded` transition.
-fn first_degraded_index(run: &ChaosRun) -> Option<usize> {
-    run.warnings
-        .iter()
-        .filter(|w| w.category == velodrome_monitor::WarningCategory::Degraded)
-        .map(|w| w.op_index)
-        .min()
-}
-
-fn engine_for(trace: &Trace, plan: &FaultPlan) -> Velodrome {
-    Velodrome::with_config(VelodromeConfig {
+/// Runs one plan over `trace` with the Velodrome engine as the tool.
+pub fn run_one(trace: &Trace, plan: &FaultPlan) -> ChaosRun {
+    let engine = Velodrome::with_config(VelodromeConfig {
         names: trace.names().clone(),
         budget: plan.budget_of(),
         ..VelodromeConfig::default()
-    })
-}
-
-/// Runs one plan over `trace`, returning the raw chaos run.
-pub fn run_one(trace: &Trace, plan: &FaultPlan) -> ChaosRun {
-    match plan.fault {
-        Fault::ToolPanic { at } => run_plan(trace, PanicAt::new(engine_for(trace, plan), at), plan),
-        _ => run_plan(trace, engine_for(trace, plan), plan),
-    }
+    });
+    run_plan(trace, engine, plan)
 }
 
 /// Generates the fixed-seed trace the chaos experiment replays.
@@ -94,31 +45,15 @@ pub fn chaos_trace(workload: &str, scale: u32, seed: u64) -> Trace {
 /// each plan against the clean control run.
 pub fn run_builtin(trace: &Trace) -> Vec<PlanOutcome> {
     let clean = run_one(trace, &FaultPlan::clean());
-    let clean_warnings = clean.warnings.clone();
     FaultPlan::builtin(trace.len())
         .into_iter()
         .map(|plan| {
             let run = run_one(trace, &plan);
-            let degraded_at = run.degraded_at.or_else(|| first_degraded_index(&run));
-            // Verdicts strictly before the degradation point must match the
-            // clean run byte-for-byte; a cut stream bounds fidelity at the
-            // cut even if nothing degraded.
-            let before = match (plan.fault, degraded_at) {
-                (Fault::TruncateStream { at }, d) | (Fault::HostDeath { at }, d) => {
-                    at.min(d.unwrap_or(usize::MAX))
-                }
-                (_, Some(d)) => d,
-                (_, None) => usize::MAX,
-            };
-            let divergence = prefix_divergence(&clean_warnings, &run.warnings, before);
+            let contract = check_contract(&plan, &clean.warnings, &run);
             PlanOutcome {
-                ladder: effective_ladder(&run),
-                degraded_at,
-                verdicts: run.verdicts().count(),
-                events_delivered: run.events_delivered,
-                synthesized: run.synthesized,
-                divergence,
                 plan,
+                run,
+                contract,
             }
         })
         .collect()
@@ -127,6 +62,7 @@ pub fn run_builtin(trace: &Trace) -> Vec<PlanOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use velodrome_monitor::{DegradationLevel, Fault};
 
     #[test]
     fn builtin_plans_uphold_contract_on_multiset() {
@@ -134,12 +70,18 @@ mod tests {
         let outcomes = run_builtin(&trace);
         assert_eq!(outcomes.len(), FaultPlan::builtin(trace.len()).len());
         for o in &outcomes {
-            assert!(o.ok(), "{}: {:?}", o.plan, o.divergence);
+            assert!(
+                o.contract.upheld(),
+                "{}: {:?}",
+                o.plan,
+                o.contract.divergence
+            );
         }
         // The clean plan must not degrade; at least one faulted plan must.
         assert!(outcomes
             .iter()
-            .any(|o| matches!(o.plan.fault, Fault::None) && o.ladder == DegradationLevel::Full));
-        assert!(outcomes.iter().any(|o| o.degraded_at.is_some()));
+            .any(|o| matches!(o.plan.fault, Fault::None)
+                && o.contract.ladder == DegradationLevel::Full));
+        assert!(outcomes.iter().any(|o| o.contract.degraded_at.is_some()));
     }
 }

@@ -38,19 +38,49 @@ pub fn run_backend(name: &str, trace: &Trace, settings: &Settings) -> Analysis {
     (backend.run)(trace.into(), settings).unwrap_or_else(|e| panic!("{name}: {e}"))
 }
 
-/// Reads a `NAME=value` style `u64` argument from the process arguments
-/// (`--scale=4`), falling back to `default`.
+/// Reads a `--name=value` `u64` argument from the process arguments
+/// (`--scale=4`), falling back to `default` when it is absent. A malformed
+/// value exits with code 2, naming the flag.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
+    parse_arg_u64(std::env::args(), name, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The parsing half of [`arg_u64`]: the value of the first `--name=` in
+/// `args`, `default` if there is none, an error if it is not a `u64`.
+pub fn parse_arg_u64(
+    args: impl IntoIterator<Item = impl AsRef<str>>,
+    name: &str,
+    default: u64,
+) -> Result<u64, String> {
     let prefix = format!("--{name}=");
-    std::env::args()
-        .find_map(|a| a.strip_prefix(&prefix).and_then(|v| v.parse().ok()))
-        .unwrap_or(default)
+    let value = args
+        .into_iter()
+        .find_map(|a| a.as_ref().strip_prefix(&prefix).map(str::to_owned));
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("--{name}: expected a non-negative integer, got `{v}`")),
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::parse_arg_u64;
+
     #[test]
     fn arg_parsing_falls_back_to_default() {
         assert_eq!(super::arg_u64("nonexistent-flag", 7), 7);
+    }
+
+    #[test]
+    fn arg_parsing_rejects_a_malformed_value() {
+        assert_eq!(parse_arg_u64(["bin", "--scale=4"], "scale", 2), Ok(4));
+        assert_eq!(parse_arg_u64(["bin", "--seeds=1"], "scale", 2), Ok(2));
+        let err = parse_arg_u64(["bin", "--scale=abc", "--seeds=1"], "scale", 2).unwrap_err();
+        assert!(err.contains("--scale") && err.contains("abc"), "{err}");
     }
 }

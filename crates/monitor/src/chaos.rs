@@ -4,9 +4,10 @@
 //! panicking back-end, an exhausted resource budget, an event stream cut
 //! off mid-transaction, a host thread dying inside an atomic block. A
 //! [`FaultPlan`] names one such failure declaratively; [`run_plan`] applies
-//! it while replaying a recorded trace through a tool with the same
-//! isolation guarantees as the live [`Runtime`](crate::shim::Runtime), and
-//! reports where (if anywhere) fidelity was lost.
+//! it while replaying a recorded trace through the live
+//! [`Runtime`] — the same quarantine, trace budget and closer synthesis a
+//! monitored program gets — and [`check_contract`] reports where (if
+//! anywhere) fidelity was lost.
 //!
 //! The harness's contract — asserted by `crates/monitor/tests/chaos.rs`
 //! and the `chaos` benchmark binary — is threefold: the host always
@@ -15,10 +16,10 @@
 //! at which the run degraded.
 
 use crate::budget::{DegradationLevel, ResourceBudget};
+use crate::shim::{Runtime, RuntimeTelemetry};
 use crate::tool::{Tool, Warning, WarningCategory};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use velodrome_events::{Op, ThreadId, Trace};
+use velodrome_events::{Op, Trace};
 
 /// A declarative fault to inject into a monitored run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -140,14 +141,14 @@ impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.fault {
             Fault::None => write!(f, "{}", self.name),
-            Fault::ToolPanic { at } => write!(f, "{}@{at}", self.name),
-            Fault::TruncateStream { at } => write!(f, "{}@{at}", self.name),
+            Fault::ToolPanic { at } | Fault::TruncateStream { at } | Fault::HostDeath { at } => {
+                write!(f, "{}@{at}", self.name)
+            }
             Fault::Budget(b) => write!(
                 f,
                 "{}(alive={},trace={},vars={})",
                 self.name, b.max_alive_nodes, b.max_trace_events, b.max_tracked_vars
             ),
-            Fault::HostDeath { at } => write!(f, "{}@{at}", self.name),
         }
     }
 }
@@ -189,17 +190,13 @@ impl<T: Tool> Tool for PanicAt<T> {
 /// Outcome of a chaos run.
 #[derive(Debug)]
 pub struct ChaosRun {
-    /// All warnings produced, including `Degraded` transitions.
+    /// All warnings produced, including `Degraded` transitions, ordered by
+    /// event index.
     pub warnings: Vec<Warning>,
-    /// Ladder state the run landed in (driver-side; a budgeted tool may
-    /// additionally report its own ladder through its stats).
-    pub ladder: DegradationLevel,
-    /// Event index at which the driver degraded, if it did.
-    pub degraded_at: Option<usize>,
-    /// Events actually delivered to the tool.
-    pub events_delivered: usize,
-    /// `end`/`rel` events synthesized for a host-death cut.
-    pub synthesized: usize,
+    /// The runtime's telemetry at the end of the run: its ladder state,
+    /// events delivered (synthesized closers included) and closers
+    /// synthesized.
+    pub telemetry: RuntimeTelemetry,
 }
 
 impl ChaosRun {
@@ -212,167 +209,88 @@ impl ChaosRun {
     }
 }
 
-/// Replays `trace` through `tool` under `plan`, with the same panic
-/// isolation as the live runtime: a panicking tool is quarantined (the run
-/// degrades to recorder-only and continues observing events), never
-/// propagated to the caller.
-///
-/// For [`Fault::HostDeath`] cuts, the implied closing events of open
-/// transactions and held locks are synthesized after the cut, mirroring
-/// [`Runtime::finish`](crate::shim::Runtime::finish).
-pub fn run_plan<T: Tool>(trace: &Trace, mut tool: T, plan: &FaultPlan) -> ChaosRun {
+/// Replays `trace` through `tool` inside a live [`Runtime`] under `plan`:
+/// the plan's budget is the runtime's, a [`Fault::ToolPanic`] wraps the
+/// tool in [`PanicAt`], and a cut stream stops delivery at the cut. A
+/// [`Fault::HostDeath`] run ends with [`Runtime::finish`], which
+/// synthesizes the closers of open transactions and held locks; every
+/// other run ends with the same flush minus the synthesis.
+pub fn run_plan<T: Tool + Send + 'static>(trace: &Trace, tool: T, plan: &FaultPlan) -> ChaosRun {
+    let rt = match plan.fault {
+        Fault::ToolPanic { at } => {
+            Runtime::online_with_budget(PanicAt::new(tool, at), plan.budget_of())
+        }
+        _ => Runtime::online_with_budget(tool, plan.budget_of()),
+    };
     let cut = match plan.fault {
-        Fault::TruncateStream { at } | Fault::HostDeath { at } => at.min(trace.len()),
+        Fault::TruncateStream { at } | Fault::HostDeath { at } => at,
         _ => trace.len(),
     };
-    let mut warnings = Vec::new();
-    let mut ladder = DegradationLevel::Full;
-    let mut degraded_at = None;
-    let mut delivered = 0usize;
-    let mut alive = true;
-
-    // Bookkeeping for host-death synthesis.
-    let mut open_txns: std::collections::HashMap<ThreadId, u32> = Default::default();
-    let mut held: std::collections::HashMap<ThreadId, Vec<velodrome_events::LockId>> =
-        Default::default();
-
-    let feed = |tool: &mut T,
-                alive: &mut bool,
-                warnings: &mut Vec<Warning>,
-                ladder: &mut DegradationLevel,
-                degraded_at: &mut Option<usize>,
-                i: usize,
-                op: Op| {
-        if !*alive {
-            return;
-        }
-        let panicked = catch_unwind(AssertUnwindSafe(|| tool.op(i, op))).err();
-        if let Some(payload) = panicked {
-            *alive = false;
-            *ladder = DegradationLevel::RecorderOnly;
-            *degraded_at = Some(i);
-            // Salvage the verdicts the tool reached before panicking, as
-            // the live runtime's quarantine does.
-            if let Ok(salvaged) = catch_unwind(AssertUnwindSafe(|| tool.take_warnings())) {
-                warnings.extend(salvaged);
-            }
-            let message = crate::isolate::panic_message(payload.as_ref()).to_owned();
-            warnings.push(Warning {
-                tool: "chaos",
-                category: WarningCategory::Degraded,
-                label: None,
-                thread: op.tid(),
-                op_index: i,
-                message: format!(
-                    "degraded to recorder-only: tool panicked at event {i}: {message}"
-                ),
-                details: None,
-            });
-        }
+    for (_, op) in trace.iter().take(cut) {
+        rt.emit(op);
+    }
+    let (_, mut warnings) = match plan.fault {
+        Fault::HostDeath { .. } => rt.finish(),
+        _ => rt.flush(),
     };
-
-    for (i, op) in trace.iter().take(cut) {
-        match op {
-            Op::Begin { t, .. } => *open_txns.entry(t).or_insert(0) += 1,
-            Op::End { t } => {
-                if let Some(d) = open_txns.get_mut(&t) {
-                    *d = d.saturating_sub(1);
-                }
-            }
-            Op::Acquire { t, m } => held.entry(t).or_default().push(m),
-            Op::Release { t, m } => {
-                if let Some(v) = held.get_mut(&t) {
-                    if let Some(pos) = v.iter().rposition(|&h| h == m) {
-                        v.remove(pos);
-                    }
-                }
-            }
-            _ => {}
-        }
-        feed(
-            &mut tool,
-            &mut alive,
-            &mut warnings,
-            &mut ladder,
-            &mut degraded_at,
-            i,
-            op,
-        );
-        delivered += 1;
-    }
-
-    // Host death: synthesize the implied closing events past the cut.
-    let mut synthesized = 0usize;
-    if matches!(plan.fault, Fault::HostDeath { .. }) {
-        let mut threads: Vec<ThreadId> = held
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(&t, _)| t)
-            .chain(open_txns.iter().filter(|(_, &d)| d > 0).map(|(&t, _)| t))
-            .collect();
-        threads.sort_by_key(|t| t.raw());
-        threads.dedup();
-        for t in threads {
-            for &m in held.get(&t).cloned().unwrap_or_default().iter().rev() {
-                feed(
-                    &mut tool,
-                    &mut alive,
-                    &mut warnings,
-                    &mut ladder,
-                    &mut degraded_at,
-                    delivered + synthesized,
-                    Op::Release { t, m },
-                );
-                synthesized += 1;
-            }
-            for _ in 0..open_txns.get(&t).copied().unwrap_or(0) {
-                feed(
-                    &mut tool,
-                    &mut alive,
-                    &mut warnings,
-                    &mut ladder,
-                    &mut degraded_at,
-                    delivered + synthesized,
-                    Op::End { t },
-                );
-                synthesized += 1;
-            }
-        }
-    }
-
-    if alive {
-        let flushed = catch_unwind(AssertUnwindSafe(|| {
-            tool.end_of_trace();
-            tool.take_warnings()
-        }));
-        match flushed {
-            Ok(w) => warnings.extend(w),
-            Err(_) => {
-                ladder = DegradationLevel::RecorderOnly;
-                if degraded_at.is_none() {
-                    degraded_at = Some(delivered + synthesized);
-                }
-                warnings.push(Warning {
-                    tool: "chaos",
-                    category: WarningCategory::Degraded,
-                    label: None,
-                    thread: ThreadId::new(0),
-                    op_index: delivered + synthesized,
-                    message: "degraded to recorder-only: tool panicked in end-of-trace flush"
-                        .to_owned(),
-                    details: None,
-                });
-            }
-        }
-    }
     warnings.sort_by_key(|w| w.op_index);
-
     ChaosRun {
         warnings,
+        telemetry: rt.telemetry(),
+    }
+}
+
+/// The fault-tolerance contract evaluated for one faulted run against the
+/// clean control run.
+#[derive(Debug)]
+pub struct Contract {
+    /// The rung the run landed on: the runtime's own, or the furthest down
+    /// the ladder any `Degraded` warning names if that is further (the
+    /// tool's transitions show only as warnings).
+    pub ladder: DegradationLevel,
+    /// The first event index a `Degraded` warning names, if any.
+    pub degraded_at: Option<usize>,
+    /// `None` if every verdict before the fidelity bound matched the clean
+    /// run byte for byte; otherwise the first divergence.
+    pub divergence: Option<(Option<String>, Option<String>)>,
+}
+
+impl Contract {
+    /// Did the run uphold the contract: an identical verdict prefix, and a
+    /// pinpointed event for any degradation?
+    pub fn upheld(&self) -> bool {
+        self.divergence.is_none()
+            && (self.ladder == DegradationLevel::Full || self.degraded_at.is_some())
+    }
+}
+
+/// Evaluates the contract for `run`, made under `plan`, against the
+/// warnings of the clean run. Verdicts strictly before the degradation
+/// point must match the clean run; a cut stream bounds fidelity at the cut
+/// even if nothing degraded.
+pub fn check_contract(plan: &FaultPlan, clean: &[Warning], run: &ChaosRun) -> Contract {
+    let degraded = || {
+        run.warnings
+            .iter()
+            .filter(|w| w.category == WarningCategory::Degraded)
+    };
+    let ladder = degraded()
+        .flat_map(|w| {
+            DegradationLevel::ALL
+                .into_iter()
+                .filter(|level| w.message.contains(&format!("degraded to {level}")))
+        })
+        .fold(run.telemetry.ladder, DegradationLevel::max);
+    let degraded_at = degraded().map(|w| w.op_index).min();
+    let bound = degraded_at.unwrap_or(usize::MAX);
+    let before = match plan.fault {
+        Fault::TruncateStream { at } | Fault::HostDeath { at } => at.min(bound),
+        _ => bound,
+    };
+    Contract {
         ladder,
         degraded_at,
-        events_delivered: delivered + synthesized,
-        synthesized,
+        divergence: prefix_divergence(clean, &run.warnings, before),
     }
 }
 
@@ -394,7 +312,7 @@ fn warning_bytes(w: &Warning) -> String {
 /// `op_index < before` is byte-identical between the clean and faulted
 /// runs (`Degraded` bookkeeping warnings in the faulted run are exempt).
 /// Returns the first divergence, if any.
-pub fn prefix_divergence(
+fn prefix_divergence(
     clean: &[Warning],
     faulted: &[Warning],
     before: usize,
@@ -405,21 +323,16 @@ pub fn prefix_divergence(
             .map(warning_bytes)
             .collect()
     };
-    let c = keep(clean);
-    let f = keep(faulted);
-    for i in 0..c.len().max(f.len()) {
-        if c.get(i) != f.get(i) {
-            return Some((c.get(i).cloned(), f.get(i).cloned()));
-        }
-    }
-    None
+    let (c, f) = (keep(clean), keep(faulted));
+    let same = c.iter().zip(&f).take_while(|(c, f)| c == f).count();
+    (c.len().max(f.len()) > same).then(|| (c.get(same).cloned(), f.get(same).cloned()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tool::EmptyTool;
-    use velodrome_events::TraceBuilder;
+    use velodrome_events::{ThreadId, TraceBuilder};
 
     fn trace() -> Trace {
         let mut b = TraceBuilder::new();
@@ -432,21 +345,17 @@ mod tests {
     #[test]
     fn clean_plan_delivers_everything() {
         let run = run_plan(&trace(), EmptyTool::new(), &FaultPlan::clean());
-        assert_eq!(run.events_delivered, 7);
-        assert_eq!(run.ladder, DegradationLevel::Full);
-        assert_eq!(run.degraded_at, None);
-        assert_eq!(run.synthesized, 0);
+        assert_eq!(run.telemetry.events_seen, 7);
+        assert_eq!(run.telemetry.ladder, DegradationLevel::Full);
+        assert_eq!(run.telemetry.degraded_at, None);
+        assert_eq!(run.telemetry.synthesized_events, 0);
     }
 
     #[test]
     fn tool_panic_is_isolated_and_pinpointed() {
-        let run = run_plan(
-            &trace(),
-            PanicAt::new(EmptyTool::new(), 3),
-            &FaultPlan::tool_panic(3),
-        );
-        assert_eq!(run.ladder, DegradationLevel::RecorderOnly);
-        assert_eq!(run.degraded_at, Some(3));
+        let run = run_plan(&trace(), EmptyTool::new(), &FaultPlan::tool_panic(3));
+        assert_eq!(run.telemetry.ladder, DegradationLevel::RecorderOnly);
+        assert_eq!(run.telemetry.degraded_at, Some(3));
         let degraded: Vec<_> = run
             .warnings
             .iter()
@@ -459,16 +368,46 @@ mod tests {
     #[test]
     fn truncation_cuts_delivery_but_still_flushes() {
         let run = run_plan(&trace(), EmptyTool::new(), &FaultPlan::truncate(2));
-        assert_eq!(run.events_delivered, 2);
-        assert_eq!(run.ladder, DegradationLevel::Full);
+        assert_eq!(run.telemetry.events_seen, 2);
+        assert_eq!(run.telemetry.ladder, DegradationLevel::Full);
     }
 
     #[test]
     fn host_death_synthesizes_closing_events() {
         // Cut after acquire+begin+read: one open txn, one held lock.
         let run = run_plan(&trace(), EmptyTool::new(), &FaultPlan::host_death(3));
-        assert_eq!(run.synthesized, 2, "rel(m) and end(T1)");
-        assert_eq!(run.events_delivered, 5);
+        assert_eq!(run.telemetry.synthesized_events, 2, "rel(m) and end(T1)");
+        assert_eq!(run.telemetry.events_seen, 5);
+    }
+
+    #[test]
+    fn trace_budget_plan_lands_on_trace_dropped_at_the_budget() {
+        let plan = FaultPlan::budget(ResourceBudget {
+            max_trace_events: 4,
+            ..ResourceBudget::UNLIMITED
+        });
+        let run = run_plan(&trace(), EmptyTool::new(), &plan);
+        assert_eq!(run.telemetry.ladder, DegradationLevel::TraceDropped);
+        assert_eq!(run.telemetry.degraded_at, Some(4));
+        assert_eq!(run.telemetry.trace_events_dropped, 3);
+        let contract = check_contract(&plan, &[], &run);
+        assert_eq!(contract.ladder, DegradationLevel::TraceDropped);
+        assert_eq!(contract.degraded_at, Some(4));
+        assert!(contract.upheld());
+    }
+
+    #[test]
+    fn unwarned_degradation_breaks_the_contract() {
+        let run = ChaosRun {
+            warnings: Vec::new(),
+            telemetry: RuntimeTelemetry {
+                ladder: DegradationLevel::RecorderOnly,
+                ..RuntimeTelemetry::default()
+            },
+        };
+        let contract = check_contract(&FaultPlan::clean(), &[], &run);
+        assert_eq!(contract.degraded_at, None);
+        assert!(!contract.upheld());
     }
 
     #[test]

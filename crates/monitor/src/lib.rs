@@ -23,12 +23,13 @@
 //!
 //! * [`budget`] — [`ResourceBudget`] caps and the [`DegradationLevel`]
 //!   ladder the runtime steps down when a cap trips;
-//! * [`chaos`] — declarative [`chaos::FaultPlan`] fault injection plus a
-//!   panic-isolating offline replay driver, used by the chaos test suite
-//!   and the `chaos` benchmark binary;
+//! * [`chaos`] — declarative [`chaos::FaultPlan`] fault injection that
+//!   replays a trace through the live [`shim::Runtime`], and the
+//!   fault-tolerance contract check, used by the chaos test suite and the
+//!   `chaos` benchmark binary;
 //! * [`isolate`] — the shared panic-isolation primitives
-//!   ([`isolate::run_isolated`], [`isolate::panic_message`]) behind both of
-//!   the above and the CLI's batch runner.
+//!   ([`isolate::run_isolated`], [`isolate::panic_message`]) behind the
+//!   runtime and the CLI's batch runner.
 
 pub mod budget;
 pub mod chaos;

@@ -226,6 +226,34 @@ impl RuntimeState {
         self.telemetry.synthesized_events += 1;
     }
 
+    /// The flush half of [`Runtime::finish`]: marks the runtime finished,
+    /// flushes the online tool under the panic guard, and hands back the
+    /// trace and warnings. A second call returns nothing.
+    fn flush(&mut self) -> (Trace, Vec<Warning>) {
+        if self.finished {
+            return (Trace::new(), Vec::new());
+        }
+        self.finished = true;
+        if let Some(mut tool) = self.tool.take() {
+            let index = self.telemetry.events_seen as usize;
+            let flushed = catch_unwind(AssertUnwindSafe(|| {
+                tool.end_of_trace();
+                tool.take_warnings()
+            }));
+            match flushed {
+                Ok(w) => self.warnings.extend(w),
+                Err(payload) => {
+                    self.tool = Some(tool);
+                    self.quarantine_tool(ThreadId::new(0), index, &payload);
+                }
+            }
+        }
+        (
+            std::mem::take(&mut self.trace),
+            std::mem::take(&mut self.warnings),
+        )
+    }
+
     fn current_thread(&mut self) -> ThreadId {
         let os = std::thread::current().id();
         if let Some(&t) = self.threads.get(&os) {
@@ -443,29 +471,22 @@ impl Runtime {
     /// finished runtime is a host bug, not a tool fault).
     pub fn finish(&self) -> (Trace, Vec<Warning>) {
         let mut st = self.state.lock();
-        if st.finished {
-            return (Trace::new(), Vec::new());
+        if !st.finished {
+            st.synthesize_closing_events();
         }
-        st.synthesize_closing_events();
-        st.finished = true;
-        if let Some(mut tool) = st.tool.take() {
-            let index = st.telemetry.events_seen as usize;
-            let flushed = catch_unwind(AssertUnwindSafe(|| {
-                tool.end_of_trace();
-                tool.take_warnings()
-            }));
-            match flushed {
-                Ok(w) => st.warnings.extend(w),
-                Err(payload) => {
-                    st.tool = Some(tool);
-                    st.quarantine_tool(ThreadId::new(0), index, &payload);
-                }
-            }
-        }
-        (
-            std::mem::take(&mut st.trace),
-            std::mem::take(&mut st.warnings),
-        )
+        st.flush()
+    }
+
+    /// Feeds one event into the stream as if a shim had emitted it: the
+    /// chaos driver replays recorded traces through this entry point.
+    pub(crate) fn emit(&self, op: Op) {
+        self.state.lock().emit(op);
+    }
+
+    /// [`Runtime::finish`] without closer synthesis: the stream ends where
+    /// it was cut, open transactions and held locks included.
+    pub(crate) fn flush(&self) -> (Trace, Vec<Warning>) {
+        self.state.lock().flush()
     }
 }
 

@@ -7,7 +7,6 @@
 //! stream in one pass, exactly as the paper runs Velodrome alongside the
 //! Atomizer or a race detector.
 
-use crate::spec::AtomicitySpec;
 use serde::Serialize;
 use std::fmt;
 use velodrome_events::{Label, Op, ThreadId, Trace};
@@ -273,15 +272,6 @@ impl PerLabelDedup {
     pub fn is_empty(&self) -> bool {
         self.reported.is_empty()
     }
-}
-
-/// Configuration shared by atomicity back-ends.
-#[derive(Debug, Clone, Default)]
-pub struct BackendConfig {
-    /// Which atomic blocks to check.
-    pub spec: AtomicitySpec,
-    /// Report at most one warning per atomic-block label.
-    pub dedup_per_label: bool,
 }
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
-//! Chaos suite: fault injection against the live runtime and the offline
-//! chaos driver, with the real Velodrome engine as the monitored tool.
+//! Chaos suite: fault injection against the live runtime, driven both by
+//! shims and by the chaos replay driver, with the real Velodrome engine as
+//! the monitored tool.
 //!
 //! The contract under test (see `crates/monitor/src/chaos.rs`):
 //! 1. the host workload always completes — no injected fault may propagate
@@ -11,7 +12,7 @@
 use proptest::prelude::*;
 use velodrome::{Velodrome, VelodromeConfig};
 use velodrome_events::Trace;
-use velodrome_monitor::chaos::{prefix_divergence, run_plan, PanicAt};
+use velodrome_monitor::chaos::{check_contract, run_plan, PanicAt};
 use velodrome_monitor::shim::Runtime;
 use velodrome_monitor::{DegradationLevel, Fault, FaultPlan, ResourceBudget, WarningCategory};
 use velodrome_sim::{random_program, run_program, GenConfig, RandomScheduler};
@@ -35,23 +36,6 @@ fn gen_trace(seed: u64, threads: usize, stmts: usize) -> Trace {
     };
     let program = random_program(&cfg, seed);
     run_program(&program, RandomScheduler::new(seed)).trace
-}
-
-/// The ladder rung a run's warnings declare: the highest level named by a
-/// `Degraded` warning, or `Full` if there is none.
-fn declared_ladder(warnings: &[velodrome_monitor::Warning]) -> DegradationLevel {
-    let mut ladder = DegradationLevel::Full;
-    for w in warnings {
-        if w.category != WarningCategory::Degraded {
-            continue;
-        }
-        for level in DegradationLevel::ALL {
-            if w.message.contains(&format!("degraded to {level}")) && level > ladder {
-                ladder = level;
-            }
-        }
-    }
-    ladder
 }
 
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
@@ -85,57 +69,24 @@ proptest! {
         let trace = gen_trace(seed, threads, 6);
         let clean = run_plan(&trace, engine_for(&trace, ResourceBudget::UNLIMITED), &FaultPlan::clean());
         // Completing run_plan at all is guarantee 1 (no escaped panic).
-        let run = match plan.fault {
-            Fault::ToolPanic { at } => run_plan(
-                &trace,
-                PanicAt::new(engine_for(&trace, plan.budget_of()), at),
-                &plan,
-            ),
-            _ => run_plan(&trace, engine_for(&trace, plan.budget_of()), &plan),
+        let run = run_plan(&trace, engine_for(&trace, plan.budget_of()), &plan);
+        // The runtime itself steps down only for a tool panic and for the
+        // trace budget; host-death closers hit nothing that degrades an
+        // unbudgeted engine.
+        let (ladder, degraded_at) = match plan.fault {
+            Fault::ToolPanic { at } if at < trace.len() => (DegradationLevel::RecorderOnly, Some(at)),
+            Fault::Budget(b) if b.max_trace_events > 0 && trace.len() > b.max_trace_events => {
+                (DegradationLevel::TraceDropped, Some(b.max_trace_events))
+            }
+            _ => (DegradationLevel::Full, None),
         };
+        prop_assert_eq!(run.telemetry.ladder, ladder);
+        prop_assert_eq!(run.telemetry.degraded_at, degraded_at);
 
-        // Guarantee 3: if anything degraded, telemetry names the event.
-        let first_degraded = run
-            .warnings
-            .iter()
-            .filter(|w| w.category == WarningCategory::Degraded)
-            .map(|w| w.op_index)
-            .min();
-        let degraded_at = run.degraded_at.or(first_degraded);
-        let declared = declared_ladder(&run.warnings);
-        match plan.fault {
-            Fault::ToolPanic { at } if at < trace.len() => {
-                prop_assert_eq!(run.ladder, DegradationLevel::RecorderOnly);
-                prop_assert_eq!(run.degraded_at, Some(at));
-            }
-            Fault::ToolPanic { .. } | Fault::None | Fault::TruncateStream { .. } => {
-                prop_assert_eq!(run.ladder, DegradationLevel::Full);
-            }
-            Fault::HostDeath { .. } => {
-                // Synthesized closers can themselves hit nothing that
-                // degrades an unbudgeted engine.
-                prop_assert_eq!(run.ladder, DegradationLevel::Full);
-            }
-            Fault::Budget(_) => {
-                // The engine's own transitions are declared in warnings;
-                // the driver stays at Full unless the tool panicked.
-                prop_assert!(declared == DegradationLevel::Full || degraded_at.is_some());
-            }
-        }
-        if declared != DegradationLevel::Full {
-            prop_assert!(degraded_at.is_some(), "degradation must be pinpointed");
-        }
-
-        // Guarantee 2: byte-identical verdict prefix.
-        let before = match (plan.fault, degraded_at) {
-            (Fault::TruncateStream { at }, d) | (Fault::HostDeath { at }, d) => {
-                at.min(d.unwrap_or(usize::MAX))
-            }
-            (_, Some(d)) => d,
-            (_, None) => usize::MAX,
-        };
-        let divergence = prefix_divergence(&clean.warnings, &run.warnings, before);
-        prop_assert!(divergence.is_none(), "{}: {:?}", plan, divergence);
+        // Guarantee 3 (a degradation names its event) and guarantee 2 (a
+        // byte-identical verdict prefix).
+        let contract = check_contract(&plan, &clean.warnings, &run);
+        prop_assert!(contract.upheld(), "{}: {:?}", plan, contract);
     }
 }
 

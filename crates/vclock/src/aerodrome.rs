@@ -41,7 +41,7 @@
 //! joined — a repeat join of an unchanged clock is a counter bump instead
 //! of an `O(threads)` comparison.
 
-use crate::clock::VectorClock;
+use crate::clock::{ThreadSlots, VectorClock};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use velodrome_events::{Label, LockId, Op, ThreadId, VarId};
@@ -71,7 +71,7 @@ impl Screen {
 /// the last write per variable and thread, the last release per lock.
 #[derive(Debug, Clone)]
 struct Entry {
-    /// The publishing thread.
+    /// The publishing thread's slot.
     thread: ThreadId,
     /// The publisher's transaction time at publish (its own clock
     /// component; outside a transaction, the component of its last one).
@@ -163,11 +163,14 @@ impl fmt::Display for AeroDromeStats {
 /// ```
 #[derive(Debug, Default)]
 pub struct AeroDrome {
+    slots: ThreadSlots,
+    /// Per-thread state, indexed by slot; clocks are indexed by slot too.
     threads: Vec<ThreadState>,
     /// `W`: last write per variable.
     w: HashMap<VarId, Entry>,
     /// `R`: reads since the last write, per variable and thread (ordered
-    /// so join order — and thus first-flag indices — is deterministic).
+    /// by thread id so join order — and thus first-flag indices — is
+    /// deterministic).
     r: HashMap<VarId, BTreeMap<ThreadId, Entry>>,
     /// `U`: last release per lock.
     u: HashMap<LockId, Entry>,
@@ -187,32 +190,32 @@ impl AeroDrome {
         self.stats
     }
 
-    fn thread_mut(&mut self, t: ThreadId) -> &mut ThreadState {
-        let idx = t.index();
+    fn thread_mut(&mut self, s: ThreadId) -> &mut ThreadState {
+        let idx = s.index();
         if idx >= self.threads.len() {
             self.threads.resize_with(idx + 1, ThreadState::default);
         }
         &mut self.threads[idx]
     }
 
-    /// Publishes thread `t`'s current clock as an entry.
-    fn publish(&mut self, t: ThreadId) -> Entry {
-        let st = self.thread_mut(t);
+    /// Publishes the current clock of the thread in slot `s` as an entry.
+    fn publish(&mut self, s: ThreadId) -> Entry {
+        let st = self.thread_mut(s);
         Entry {
-            thread: t,
+            thread: s,
             time: if st.depth > 0 {
                 st.txn_time
             } else {
-                st.clock.get(t)
+                st.clock.get(s)
             },
             version: st.version,
             clock: st.clock.clone(),
         }
     }
 
-    /// Joins a published entry into thread `t`'s clock, resolving against
-    /// the publisher's live clock when its transaction is still active,
-    /// and returns the screening outcome for this edge.
+    /// Joins a published entry into the clock of the thread in slot `t`,
+    /// resolving against the publisher's live clock when its transaction is
+    /// still active, and returns the screening outcome for this edge.
     fn join_entry(&mut self, t: ThreadId, e: &Entry) -> Screen {
         let mut out = Screen::default();
         self.stats.joins += 1;
@@ -276,10 +279,10 @@ impl AeroDrome {
         out
     }
 
-    fn note(&mut self, out: Screen, t: ThreadId, op: Op, idx: usize) {
+    fn note(&mut self, out: Screen, s: ThreadId, op: Op, idx: usize) {
         if out.violation {
             self.stats.violations += 1;
-            let label = self.thread_mut(t).label;
+            let label = self.thread_mut(s).label;
             if self.dedup.first_report(label) {
                 let block = match label {
                     Some(l) => format!("atomic block {l}"),
@@ -289,7 +292,7 @@ impl AeroDrome {
                     tool: "aerodrome",
                     category: WarningCategory::Atomicity,
                     label,
-                    thread: t,
+                    thread: op.tid(),
                     op_index: idx,
                     message: format!(
                         "{block} observes its own transaction time at {op}: \
@@ -310,20 +313,21 @@ impl AeroDrome {
     pub fn step(&mut self, idx: usize, op: Op) -> Screen {
         self.stats.events += 1;
         let mut out = Screen::default();
+        let s = self.slots.slot(op.tid());
         match op {
-            Op::Begin { t, l } => {
-                let st = self.thread_mut(t);
+            Op::Begin { l, .. } => {
+                let st = self.thread_mut(s);
                 if st.depth == 0 {
-                    st.clock.inc(t);
+                    st.clock.inc(s);
                     st.version += 1;
-                    st.txn_time = st.clock.get(t);
+                    st.txn_time = st.clock.get(s);
                     st.observed = false;
                     st.label = Some(l);
                 }
                 st.depth += 1;
             }
-            Op::End { t } => {
-                let st = self.thread_mut(t);
+            Op::End { .. } => {
+                let st = self.thread_mut(s);
                 if st.depth > 0 {
                     st.depth -= 1;
                     if st.depth == 0 {
@@ -333,14 +337,14 @@ impl AeroDrome {
             }
             Op::Read { t, x } => {
                 if let Some(e) = self.w.get(&x).cloned() {
-                    out.merge(self.join_entry(t, &e));
+                    out.merge(self.join_entry(s, &e));
                 }
-                let entry = self.publish(t);
+                let entry = self.publish(s);
                 self.r.entry(x).or_default().insert(t, entry);
             }
-            Op::Write { t, x } => {
+            Op::Write { x, .. } => {
                 if let Some(e) = self.w.get(&x).cloned() {
-                    out.merge(self.join_entry(t, &e));
+                    out.merge(self.join_entry(s, &e));
                 }
                 let reads: Vec<Entry> = self
                     .r
@@ -348,33 +352,35 @@ impl AeroDrome {
                     .map(|per| per.values().cloned().collect())
                     .unwrap_or_default();
                 for e in &reads {
-                    out.merge(self.join_entry(t, e));
+                    out.merge(self.join_entry(s, e));
                 }
-                let entry = self.publish(t);
+                let entry = self.publish(s);
                 self.w.insert(x, entry);
                 if let Some(per) = self.r.get_mut(&x) {
                     per.clear();
                 }
             }
-            Op::Acquire { t, m } => {
+            Op::Acquire { m, .. } => {
                 if let Some(e) = self.u.get(&m).cloned() {
-                    out.merge(self.join_entry(t, &e));
+                    out.merge(self.join_entry(s, &e));
                 }
             }
-            Op::Release { t, m } => {
-                let entry = self.publish(t);
+            Op::Release { m, .. } => {
+                let entry = self.publish(s);
                 self.u.insert(m, entry);
             }
-            Op::Fork { t, child } => {
-                let entry = self.publish(t);
+            Op::Fork { child, .. } => {
+                let entry = self.publish(s);
+                let child = self.slots.slot(child);
                 out.merge(self.join_entry(child, &entry));
             }
-            Op::Join { t, child } => {
+            Op::Join { child, .. } => {
+                let child = self.slots.slot(child);
                 let entry = self.publish(child);
-                out.merge(self.join_entry(t, &entry));
+                out.merge(self.join_entry(s, &entry));
             }
         }
-        self.note(out, op.tid(), op, idx);
+        self.note(out, s, op, idx);
         out
     }
 }

@@ -1,5 +1,6 @@
 //! Vector clocks over thread identifiers.
 
+use std::collections::HashMap;
 use std::fmt;
 use velodrome_events::ThreadId;
 
@@ -64,6 +65,25 @@ impl VectorClock {
     /// Whether the clock is all zeros.
     pub fn is_zero(&self) -> bool {
         self.entries.iter().all(|&v| v == 0)
+    }
+}
+
+/// Dense clock slots for thread identifiers, handed out in first-seen
+/// order. A [`VectorClock`] is as wide as the largest thread identifier it
+/// is indexed by, so the analyses index their clocks by slot: clock width
+/// then follows the number of threads present, not the largest id (a lone
+/// thread 65535 costs one entry, not 65,536). Warnings keep naming the
+/// original [`ThreadId`].
+#[derive(Debug, Default, Clone)]
+pub struct ThreadSlots {
+    slots: HashMap<ThreadId, ThreadId>,
+}
+
+impl ThreadSlots {
+    /// The slot of thread `t`, assigned on first sight.
+    pub fn slot(&mut self, t: ThreadId) -> ThreadId {
+        let next = ThreadId::new(self.slots.len() as u32);
+        *self.slots.entry(t).or_insert(next)
     }
 }
 
@@ -137,6 +157,17 @@ mod tests {
         assert!(!a.le(&b));
         assert!(VectorClock::new().is_zero());
         assert!(!a.is_zero());
+    }
+
+    #[test]
+    fn slots_are_dense_in_first_seen_order() {
+        let mut slots = ThreadSlots::default();
+        assert_eq!(slots.slot(t(65535)), t(0));
+        assert_eq!(slots.slot(t(7)), t(1));
+        assert_eq!(slots.slot(t(65535)), t(0));
+        let mut c = VectorClock::new();
+        c.inc(slots.slot(t(7)));
+        assert_eq!(c.to_string(), "⟨0, 1⟩");
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! DJIT⁺-style happens-before race detector.
 //!
 //! Maintains one clock per thread, per lock, and per variable (separately
-//! for reads and writes). A race is reported exactly when two conflicting
-//! accesses are concurrent in the happens-before order induced by program
-//! order, lock release→acquire edges, and fork/join — i.e., the detector is
-//! precise for the observed trace.
+//! for reads and writes), indexed by [`ThreadSlots`] slot. A race is
+//! reported exactly when two conflicting accesses are concurrent in the
+//! happens-before order induced by program order, lock release→acquire
+//! edges, and fork/join — i.e., the detector is precise for the observed
+//! trace.
 
-use crate::clock::VectorClock;
+use crate::clock::{ThreadSlots, VectorClock};
 use std::collections::{HashMap, HashSet};
 use velodrome_events::{LockId, Op, ThreadId, VarId};
 use velodrome_monitor::tool::{Tool, Warning, WarningCategory};
@@ -34,6 +35,8 @@ struct VarClocks {
 /// ```
 #[derive(Debug, Default)]
 pub struct HbRaceDetector {
+    slots: ThreadSlots,
+    /// Thread clocks, keyed and indexed by slot.
     threads: HashMap<ThreadId, VectorClock>,
     locks: HashMap<LockId, VectorClock>,
     vars: HashMap<VarId, VarClocks>,
@@ -54,10 +57,11 @@ impl HbRaceDetector {
         self.races_detected
     }
 
-    fn clock_mut(&mut self, t: ThreadId) -> &mut VectorClock {
-        self.threads.entry(t).or_insert_with(|| {
+    /// The clock of the thread in slot `s`.
+    fn clock_mut(&mut self, s: ThreadId) -> &mut VectorClock {
+        self.threads.entry(s).or_insert_with(|| {
             let mut c = VectorClock::new();
-            c.inc(t); // each thread starts in its own epoch
+            c.inc(s); // each thread starts in its own epoch
             c
         })
     }
@@ -85,44 +89,48 @@ impl Tool for HbRaceDetector {
     }
 
     fn op(&mut self, index: usize, op: Op) {
+        let t = op.tid();
+        let s = self.slots.slot(t);
         match op {
-            Op::Acquire { t, m } => {
+            Op::Acquire { m, .. } => {
                 let lock = self.locks.get(&m).cloned().unwrap_or_default();
-                self.clock_mut(t).join(&lock);
+                self.clock_mut(s).join(&lock);
             }
-            Op::Release { t, m } => {
-                let c = self.clock_mut(t).clone();
+            Op::Release { m, .. } => {
+                let c = self.clock_mut(s).clone();
                 self.locks.insert(m, c);
-                self.clock_mut(t).inc(t);
+                self.clock_mut(s).inc(s);
             }
-            Op::Fork { t, child } => {
-                let parent = self.clock_mut(t).clone();
+            Op::Fork { child, .. } => {
+                let child = self.slots.slot(child);
+                let parent = self.clock_mut(s).clone();
                 self.clock_mut(child).join(&parent);
-                self.clock_mut(t).inc(t);
+                self.clock_mut(s).inc(s);
             }
-            Op::Join { t, child } => {
+            Op::Join { child, .. } => {
+                let child = self.slots.slot(child);
                 let done = self.clock_mut(child).clone();
-                self.clock_mut(t).join(&done);
+                self.clock_mut(s).join(&done);
                 self.clock_mut(child).inc(child);
             }
-            Op::Read { t, x } => {
-                let ct = self.clock_mut(t).clone();
+            Op::Read { x, .. } => {
+                let ct = self.clock_mut(s).clone();
                 let vc = self.vars.entry(x).or_default();
                 let racy = !vc.writes.le(&ct);
-                let my = ct.get(t);
-                vc.reads.set(t, my);
+                let my = ct.get(s);
+                vc.reads.set(s, my);
                 if racy {
                     self.report(t, x, index, "write-read");
                 }
             }
-            Op::Write { t, x } => {
-                let ct = self.clock_mut(t).clone();
+            Op::Write { x, .. } => {
+                let ct = self.clock_mut(s).clone();
                 let vc = self.vars.entry(x).or_default();
                 let racy_w = !vc.writes.le(&ct);
                 let racy_r = !vc.reads.le(&ct);
-                let my = ct.get(t);
-                vc.writes.set(t, my);
-                vc.reads.set(t, my);
+                let my = ct.get(s);
+                vc.writes.set(s, my);
+                vc.reads.set(s, my);
                 if racy_w {
                     self.report(t, x, index, "write-write");
                 } else if racy_r {

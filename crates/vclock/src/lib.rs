@@ -14,5 +14,5 @@ pub mod clock;
 pub mod detector;
 
 pub use aerodrome::{AeroDrome, AeroDromeStats, Screen};
-pub use clock::VectorClock;
+pub use clock::{ThreadSlots, VectorClock};
 pub use detector::HbRaceDetector;

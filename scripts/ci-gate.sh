@@ -152,6 +152,34 @@ if [[ "$(grep -c '"status":"error"' "$tmp/hugetid.jsonl")" -ne 1 ||
     exit 1
 fi
 
+echo "==> high thread ids run the vector-clock backends in bounded memory"
+# 4,096 threads with ids 61440-65535, each running one transaction that
+# writes x0. Clocks sized by the largest thread id would take 512 KB each
+# and exhaust a 2 GB address space; clocks indexed by dense slot fit easily.
+{
+    printf '{"ops":['
+    sep=''
+    for ((t = 61440; t < 65536; t++)); do
+        printf '%s{"Begin":{"t":%d,"l":0}},{"Write":{"t":%d,"x":0}},{"End":{"t":%d}}' \
+            "$sep" "$t" "$t" "$t"
+        sep=','
+    done
+    printf '],"names":{"threads":{},"vars":{},"locks":{},"labels":{}}}'
+} > "$tmp/hightid.json"
+velodrome="${CARGO_TARGET_DIR:-target}/release/velodrome"
+for backend in aerodrome velodrome-hybrid hb-race all; do
+    set +e
+    (ulimit -v 2000000 && exec "$velodrome" trace "$tmp/hightid.json" --backend="$backend") \
+        >/dev/null 2>"$tmp/err"
+    code=$?
+    set -e
+    if [[ "$code" -ne 0 ]]; then
+        echo "high thread ids: trace --backend=$backend exited $code under ulimit -v 2000000" >&2
+        cat "$tmp/err" >&2
+        exit 1
+    fi
+done
+
 echo "==> cross-backend differential suite + conformance corpus + backend registry"
 cargo test -q -p velodrome-integration --test atomicity_differential >/dev/null
 cargo test -q -p velodrome-integration --test corpus_conformance >/dev/null
