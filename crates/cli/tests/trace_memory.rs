@@ -7,9 +7,10 @@
 //! times longer over the same symbol table must not raise peak heap. A
 //! checker that first materializes the trace pays 12 bytes per operation:
 //! about 21 MB more at 2M operations than at 200k. The vector-clock
-//! backends index their clocks by dense thread slot, so renumbering the
-//! threads of a trace to ids near the 2^16 cap must not raise peak heap
-//! either; clocks sized by the raw id pay 512 KB per clock there. Peak heap
+//! backends index their clocks, and the engine its per-thread table, by
+//! dense thread slot, so renumbering the threads of a trace to ids near the
+//! 2^16 cap must not raise peak heap either; clocks sized by the raw id pay
+//! 512 KB per clock there, and a table sized by it about 7 MB. Peak heap
 //! is measured with a counting global allocator, as in the events crate's
 //! `streaming_memory` test, rather than with OS RSS.
 
@@ -187,7 +188,7 @@ fn vector_clock_heap_does_not_grow_with_thread_ids() {
         velodrome_events::write_vbt(file, &one_write_each(first)).unwrap();
         path
     });
-    for backend in ["hb-race", "aerodrome", "velodrome-hybrid"] {
+    for backend in ["hb-race", "aerodrome", "velodrome-hybrid", "velodrome"] {
         // A first run pays one-time allocations the twins must not see.
         trace_peak_heap(&twins[0], backend);
         let [(low, _), (high, _)] = twins.clone().map(|path| trace_peak_heap(&path, backend));

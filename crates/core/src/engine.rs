@@ -32,6 +32,7 @@ use velodrome_events::{Label, LockId, Op, SymbolTable, ThreadId, Trace, VarId};
 use velodrome_monitor::budget::{DegradationLevel, ResourceBudget};
 use velodrome_monitor::tool::{PerLabelDedup, Tool, Warning, WarningCategory};
 use velodrome_telemetry::{names, Counter, Gauge, PhaseTimer, Telemetry};
+use velodrome_vclock::ThreadSlots;
 
 /// Configuration of the [`Velodrome`] engine.
 #[derive(Debug, Clone)]
@@ -289,6 +290,15 @@ struct ThreadState {
     skip: Option<Step>,
 }
 
+/// A thread as the engine addresses it within one operation: its id, which
+/// graph nodes, reports and warnings name, and its index into
+/// `Velodrome::threads`, resolved once per operation.
+#[derive(Debug, Clone, Copy)]
+struct Thread {
+    id: ThreadId,
+    ix: usize,
+}
+
 /// The sound and complete dynamic serializability analysis.
 ///
 /// Feed it operations through the [`Tool`] interface (usually via
@@ -299,7 +309,10 @@ struct ThreadState {
 pub struct Velodrome {
     cfg: VelodromeConfig,
     arena: Arena,
+    /// Per-thread state, indexed by dense slot (see [`Thread`]), so the
+    /// table follows the number of threads seen, not the largest id.
     threads: Vec<ThreadState>,
+    slots: ThreadSlots,
     /// `U`: last release step per lock.
     u: HashMap<LockId, Step>,
     /// `W`: last write step per variable.
@@ -353,6 +366,7 @@ impl Velodrome {
             cfg,
             arena,
             threads: Vec::new(),
+            slots: ThreadSlots::default(),
             u: HashMap::new(),
             w: HashMap::new(),
             r: HashMap::new(),
@@ -429,16 +443,17 @@ impl Velodrome {
         self.arena.force_counter_for_test(slot, counter);
     }
 
-    fn thread_mut(&mut self, t: ThreadId) -> &mut ThreadState {
-        let idx = t.index();
-        if idx >= self.threads.len() {
-            self.threads.resize_with(idx + 1, ThreadState::default);
+    /// Thread `id` with its slot in `threads`, assigned on first sight.
+    fn thread(&mut self, id: ThreadId) -> Thread {
+        let ix = self.slots.slot(id).index();
+        if ix == self.threads.len() {
+            self.threads.push(ThreadState::default());
         }
-        &mut self.threads[idx]
+        Thread { id, ix }
     }
 
-    fn in_txn(&mut self, t: ThreadId) -> bool {
-        !self.thread_mut(t).stack.is_empty()
+    fn in_txn(&self, t: Thread) -> bool {
+        !self.threads[t.ix].stack.is_empty()
     }
 
     /// Timed wrapper around [`Arena::add_edge`].
@@ -474,13 +489,13 @@ impl Velodrome {
     /// Advances thread `t` by one operation with happens-before
     /// predecessors `preds`, returning the operation's step (possibly `⊥`
     /// for vanishing non-transactional operations).
-    fn advance(&mut self, t: ThreadId, preds: &[Step], op: Op, idx: usize) -> Step {
+    fn advance(&mut self, t: Thread, preds: &[Step], op: Op, idx: usize) -> Step {
         if self.in_txn(t) {
-            let node = self.thread_mut(t).node;
+            let node = self.threads[t.ix].node;
             let s = match self.arena.bump(node) {
                 Ok(s) => s,
                 Err(e) => {
-                    self.degrade_fatal(e, t, idx);
+                    self.degrade_fatal(e, t.id, idx);
                     return Step::NONE;
                 }
             };
@@ -488,7 +503,7 @@ impl Velodrome {
             for &p in preds {
                 // Epoch fast path: a predecessor that was a no-op for this
                 // transaction stays one (see `ThreadState::skip`).
-                if elide && self.threads[t.index()].skip == Some(p) {
+                if elide && self.threads[t.ix].skip == Some(p) {
                     self.stats.epoch_hits += 1;
                     continue;
                 }
@@ -496,19 +511,19 @@ impl Velodrome {
                     Ok(true) => {}
                     Ok(false) => {
                         if elide {
-                            self.threads[t.index()].skip = Some(p);
+                            self.threads[t.ix].skip = Some(p);
                         }
                     }
                     Err(c) => self.report_cycle(c, t, op, idx),
                 }
             }
-            self.thread_mut(t).l = s;
+            self.threads[t.ix].l = s;
             return s;
         }
         // Non-transactional operation: gather the resolved predecessors,
         // including the thread-order predecessor L(t), deduplicated per node
         // (keeping the latest timestamp).
-        let l = self.thread_mut(t).l;
+        let l = self.threads[t.ix].l;
         let mut args: Vec<Step> = Vec::with_capacity(preds.len() + 1);
         for &p in preds.iter().chain(std::iter::once(&l)) {
             let p = self.arena.resolve(p);
@@ -527,14 +542,14 @@ impl Velodrome {
             // Figure 2 [INS OUTSIDE]: wrap the operation in a fresh unary
             // transaction.
             let desc = NodeDesc {
-                thread: t,
+                thread: t.id,
                 label: None,
                 first_op: idx,
             };
             let s = match self.arena.alloc(desc, true) {
                 Ok(s) => s,
                 Err(e) => {
-                    self.degrade_fatal(e, t, idx);
+                    self.degrade_fatal(e, t.id, idx);
                     return Step::NONE;
                 }
             };
@@ -565,7 +580,7 @@ impl Velodrome {
             match self.arena.bump(slot) {
                 Ok(s) => s,
                 Err(e) => {
-                    self.degrade_fatal(e, t, idx);
+                    self.degrade_fatal(e, t.id, idx);
                     return Step::NONE;
                 }
             }
@@ -574,14 +589,14 @@ impl Velodrome {
             // with edges from each (merge case 3). The node is fresh, so no
             // cycle is possible.
             let desc = NodeDesc {
-                thread: t,
+                thread: t.id,
                 label: None,
                 first_op: idx,
             };
             let s = match self.arena.alloc(desc, false) {
                 Ok(s) => s,
                 Err(e) => {
-                    self.degrade_fatal(e, t, idx);
+                    self.degrade_fatal(e, t.id, idx);
                     return Step::NONE;
                 }
             };
@@ -590,23 +605,23 @@ impl Velodrome {
             }
             s
         };
-        self.thread_mut(t).l = s;
+        self.threads[t.ix].l = s;
         s
     }
 
-    fn on_begin(&mut self, t: ThreadId, l: Label, idx: usize) {
+    fn on_begin(&mut self, t: Thread, l: Label, idx: usize) {
         if self.in_txn(t) {
             // [INS2 RE-ENTER]: nested block within the current transaction.
-            let node = self.thread_mut(t).node;
+            let node = self.threads[t.ix].node;
             let s = match self.arena.bump(node) {
                 Ok(s) => s,
                 Err(e) => {
-                    self.degrade_fatal(e, t, idx);
+                    self.degrade_fatal(e, t.id, idx);
                     return;
                 }
             };
             let ts = s.ts().expect("bumped step");
-            let st = self.thread_mut(t);
+            let st = &mut self.threads[t.ix];
             st.l = s;
             st.stack.push(Block {
                 label: l,
@@ -616,23 +631,23 @@ impl Velodrome {
         } else {
             // [INS2 ENTER]: allocate a fresh transaction node, ordered after
             // the thread's previous transaction.
-            let prev = self.thread_mut(t).l;
+            let prev = self.threads[t.ix].l;
             let desc = NodeDesc {
-                thread: t,
+                thread: t.id,
                 label: Some(l),
                 first_op: idx,
             };
             let s = match self.arena.alloc(desc, true) {
                 Ok(s) => s,
                 Err(e) => {
-                    self.degrade_fatal(e, t, idx);
+                    self.degrade_fatal(e, t.id, idx);
                     return;
                 }
             };
-            let op = Op::Begin { t, l };
+            let op = Op::Begin { t: t.id, l };
             let _ = self.add_edge(prev, s, op, idx);
             let (slot, ts) = s.unpack();
-            let st = self.thread_mut(t);
+            let st = &mut self.threads[t.ix];
             st.l = s;
             st.node = slot;
             // The cache is only valid for one fixed transaction node: the
@@ -646,22 +661,22 @@ impl Velodrome {
         }
     }
 
-    fn on_end(&mut self, t: ThreadId, idx: usize) {
+    fn on_end(&mut self, t: Thread, idx: usize) {
         if !self.in_txn(t) {
             return; // Stray end: tolerated, as in the trace semantics.
         }
-        let node = self.thread_mut(t).node;
+        let node = self.threads[t.ix].node;
         // On timestamp overflow the end step is `⊥` (L(t) keeps its last
         // valid step) but the block is still popped and the node finished,
         // so the graph stays consistent while the engine degrades.
         let s = match self.arena.bump(node) {
             Ok(s) => s,
             Err(e) => {
-                self.degrade_fatal(e, t, idx);
+                self.degrade_fatal(e, t.id, idx);
                 Step::NONE
             }
         };
-        let st = self.thread_mut(t);
+        let st = &mut self.threads[t.ix];
         if s.is_some() {
             st.l = s;
         }
@@ -673,19 +688,19 @@ impl Velodrome {
         }
     }
 
-    fn on_read(&mut self, t: ThreadId, x: VarId, op: Op, idx: usize) {
+    fn on_read(&mut self, t: Thread, x: VarId, op: Op, idx: usize) {
         let w = self.w.get(&x).copied().unwrap_or(Step::NONE);
         let s = self.advance(t, &[w], op, idx);
         // A `⊥` step must not materialize an empty per-variable map:
         // `advance` may just have degraded and released the whole store.
         if s.is_some() {
-            self.r.entry(x).or_default().insert(t, s);
+            self.r.entry(x).or_default().insert(t.id, s);
         } else if let Some(per_var) = self.r.get_mut(&x) {
-            per_var.remove(&t);
+            per_var.remove(&t.id);
         }
     }
 
-    fn on_write(&mut self, t: ThreadId, x: VarId, op: Op, idx: usize) {
+    fn on_write(&mut self, t: Thread, x: VarId, op: Op, idx: usize) {
         let mut preds: Vec<Step> = Vec::new();
         if let Some(per_var) = self.r.get(&x) {
             preds.extend(per_var.values().copied());
@@ -703,12 +718,12 @@ impl Velodrome {
         }
     }
 
-    fn on_acquire(&mut self, t: ThreadId, m: LockId, op: Op, idx: usize) {
+    fn on_acquire(&mut self, t: Thread, m: LockId, op: Op, idx: usize) {
         let u = self.u.get(&m).copied().unwrap_or(Step::NONE);
         let _ = self.advance(t, &[u], op, idx);
     }
 
-    fn on_release(&mut self, t: ThreadId, m: LockId, op: Op, idx: usize) {
+    fn on_release(&mut self, t: Thread, m: LockId, op: Op, idx: usize) {
         let s = self.advance(t, &[], op, idx);
         if s.is_some() {
             self.u.insert(m, s);
@@ -717,15 +732,15 @@ impl Velodrome {
         }
     }
 
-    fn on_fork(&mut self, t: ThreadId, child: ThreadId, op: Op, idx: usize) {
+    fn on_fork(&mut self, t: Thread, child: Thread, op: Op, idx: usize) {
         let s = self.advance(t, &[], op, idx);
         // The child's first operation is ordered after the fork: seed its
         // thread-order predecessor.
-        self.thread_mut(child).l = s;
+        self.threads[child.ix].l = s;
     }
 
-    fn on_join(&mut self, t: ThreadId, child: ThreadId, op: Op, idx: usize) {
-        let lc = self.thread_mut(child).l;
+    fn on_join(&mut self, t: Thread, child: Thread, op: Op, idx: usize) {
+        let lc = self.threads[child.ix].l;
         let _ = self.advance(t, &[lc], op, idx);
     }
 
@@ -833,7 +848,7 @@ impl Velodrome {
         false
     }
 
-    fn report_cycle(&mut self, c: CycleFound, t: ThreadId, op: Op, idx: usize) {
+    fn report_cycle(&mut self, c: CycleFound, t: Thread, op: Op, idx: usize) {
         let _span = self.tele.cycle_check.start();
         self.stats.cycles_detected += 1;
         // Reconstruct the existing path current-txn →* edge-source; the
@@ -869,7 +884,7 @@ impl Velodrome {
         // timestamp; every enclosing atomic block whose begin precedes the
         // root contains both root and target operations and is refuted.
         let root_ts = edges[0].from_ts;
-        let stack = &self.threads[t.index()].stack;
+        let stack = &self.threads[t.ix].stack;
         let refuted: Vec<Label> = if increasing {
             stack
                 .iter()
@@ -911,7 +926,7 @@ impl Velodrome {
             tool: "velodrome",
             category: WarningCategory::Atomicity,
             label: attribution,
-            thread: t,
+            thread: t.id,
             op_index: idx,
             message: String::new(),
             details: None,
@@ -938,15 +953,22 @@ impl Tool for Velodrome {
             return;
         }
         let _span = self.tele.advance.start();
+        let t = self.thread(op.tid());
         match op {
-            Op::Read { t, x } => self.on_read(t, x, op, index),
-            Op::Write { t, x } => self.on_write(t, x, op, index),
-            Op::Acquire { t, m } => self.on_acquire(t, m, op, index),
-            Op::Release { t, m } => self.on_release(t, m, op, index),
-            Op::Begin { t, l } => self.on_begin(t, l, index),
-            Op::End { t } => self.on_end(t, index),
-            Op::Fork { t, child } => self.on_fork(t, child, op, index),
-            Op::Join { t, child } => self.on_join(t, child, op, index),
+            Op::Read { x, .. } => self.on_read(t, x, op, index),
+            Op::Write { x, .. } => self.on_write(t, x, op, index),
+            Op::Acquire { m, .. } => self.on_acquire(t, m, op, index),
+            Op::Release { m, .. } => self.on_release(t, m, op, index),
+            Op::Begin { l, .. } => self.on_begin(t, l, index),
+            Op::End { .. } => self.on_end(t, index),
+            Op::Fork { child, .. } => {
+                let child = self.thread(child);
+                self.on_fork(t, child, op, index)
+            }
+            Op::Join { child, .. } => {
+                let child = self.thread(child);
+                self.on_join(t, child, op, index)
+            }
         }
     }
 

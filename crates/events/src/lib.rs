@@ -51,7 +51,7 @@ pub use ids::{Label, LockId, SymbolTable, ThreadId, VarId, MAX_THREADS};
 pub use op::Op;
 pub use source::{TraceSource, TraceSummary};
 pub use stats::TraceStats;
-pub use stream::{read_json_trace, scan_json_trace, write_json_trace, TraceReadError};
+pub use stream::{read_json_trace, write_json_trace, TraceReadError};
 pub use trace::{Trace, TraceBuilder};
 pub use txn::{Transactions, TxnId, TxnInfo};
 pub use vbt::{is_vbt, read_vbt, trace_to_vbt, write_vbt, VbtReader};

@@ -26,8 +26,7 @@ use crate::vbt::{is_vbt, VbtReader, MAGIC};
 use std::io::Read;
 
 /// What a trace stream carries besides its operations, known once the
-/// last operation has streamed. Returned by [`TraceSource::stream`] and
-/// [`crate::scan_json_trace`].
+/// last operation has streamed. Returned by [`TraceSource::stream`].
 #[derive(Debug)]
 pub struct TraceSummary {
     /// The trace's symbol table.

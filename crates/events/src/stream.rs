@@ -3,14 +3,13 @@
 //!
 //! The reader parses trace JSON directly off an [`std::io::Read`] stream
 //! with one bounded buffer and no intermediate value tree, handing each
-//! operation on as it is decoded: [`crate::TraceSource`] drives it for
-//! files of either format, [`scan_json_trace`] streams a JSON trace into a
-//! callback, and [`read_json_trace`] collects one into a [`Trace`].
-//! [`write_json_trace`] is its mirror image: it renders a [`Trace`] into
-//! an [`std::io::Write`] through one bounded buffer. [`Trace::from_json`]
-//! and [`Trace::to_json`] are thin wrappers over the two. The binary VBT
-//! reader ([`crate::vbt`]) shares the same buffered byte source and error
-//! type.
+//! operation on as it is decoded: [`crate::TraceSource`] drives it into a
+//! sink, for files of either format, and [`read_json_trace`] collects one
+//! into a [`Trace`]. [`write_json_trace`] is its mirror image: it renders
+//! a [`Trace`] into an [`std::io::Write`] through one bounded buffer.
+//! [`Trace::from_json`] and [`Trace::to_json`] are thin wrappers over the
+//! two. The binary VBT reader ([`crate::vbt`]) shares the same buffered
+//! byte source and error type.
 //!
 //! The layout is `{"ops":[…],"names":{…},"synthesized":[…]}`: each
 //! operation is externally tagged (`{"Read":{"t":0,"x":1}}`), `names`
@@ -20,6 +19,17 @@
 //! whitespace, and unknown keys. Because `names` and `synthesized` follow
 //! `ops`, a streaming reader learns them, and finds their errors (and
 //! trailing data), only after the last operation.
+//!
+//! The reader has one general path, byte by byte through the buffered
+//! source, and one shortcut for the operations that make up nearly all of
+//! a trace. Before it parses an operation it matches the bytes already
+//! buffered against the exact shape the writer emits, `{"Tag":{"t":N}}` or
+//! `{"Tag":{"t":N,"<operand>":N}}`, and builds the operation from that
+//! slice in one step. On any mismatch (a buffer edge, whitespace, another
+//! key order, an unknown key, an out-of-range id, anything malformed) it
+//! consumes nothing and the general path parses the operation from the
+//! same byte. The shortcut therefore accepts only what the general path
+//! accepts, to the same operation, and never reports an error itself.
 //!
 //! Every read error carries the absolute byte offset of the first byte
 //! that could not be interpreted, so CLI diagnostics can point into the
@@ -181,6 +191,17 @@ impl<R: Read> ByteStream<R> {
         self.pos += 1;
     }
 
+    /// The bytes already buffered past the read position; reads nothing.
+    fn window(&self) -> &[u8] {
+        &self.buf[self.pos..self.len]
+    }
+
+    /// Consumes the first `n` bytes of [`Self::window`].
+    fn consume(&mut self, n: usize) {
+        debug_assert!(n <= self.len - self.pos);
+        self.pos += n;
+    }
+
     /// Reads and consumes the next byte, or `None` at EOF.
     pub(crate) fn next_byte(&mut self) -> Result<Option<u8>, TraceReadError> {
         let b = self.peek()?;
@@ -220,18 +241,6 @@ impl<R: Read> ByteStream<R> {
 /// itself.
 pub fn read_json_trace<R: Read>(src: R) -> Result<Trace, TraceReadError> {
     TraceSource::json(JsonParser::new(src)).read_to_trace()
-}
-
-/// Parses a JSON trace incrementally, invoking `on_op(index, op)` for each
-/// operation instead of collecting them. Memory use is bounded by the
-/// 64 KiB read buffer and the (small) symbol table, independent of input
-/// size — this is what lets a multi-hundred-megabyte trace stream through
-/// a fixed footprint.
-pub fn scan_json_trace<R: Read, F: FnMut(usize, Op)>(
-    src: R,
-    on_op: F,
-) -> Result<TraceSummary, TraceReadError> {
-    JsonParser::new(src).parse_trace(on_op)
 }
 
 /// Encodes `trace` as JSON into `w`, byte for byte what
@@ -474,6 +483,58 @@ impl Tag {
             Tag::Fork | Tag::Join => Some("child"),
         }
     }
+}
+
+/// Matches the start of `b` against the one operation shape
+/// [`write_json_trace`] emits, `{"Tag":{"t":N}}` or
+/// `{"Tag":{"t":N,"<operand>":N}}`, and returns the operation with the
+/// number of bytes it spans. It applies the general parser's checks: ids
+/// within range ([`ThreadId::checked`] for `t` and a fork/join `child`),
+/// overflow-checked digits, and no fraction or exponent (the shape wants
+/// `,` or `}` right after each number). Anything else is `None`: a window
+/// that ends inside the operation, whitespace, another key order, an
+/// unknown key, an out-of-range id, malformed input. The caller then hands
+/// the same position to [`JsonParser::parse_op`], so every error, with its
+/// message and byte offset, comes from the general path.
+fn writer_shaped_op(b: &[u8]) -> Option<(Op, usize)> {
+    let rest = b.strip_prefix(b"{\"")?;
+    let tag = Tag::ALL
+        .into_iter()
+        .find(|tag| rest.starts_with(tag.name().as_bytes()))?;
+    let rest = rest[tag.name().len()..].strip_prefix(b"\":{\"t\":")?;
+    let (t, rest) = leading_u64(rest)?;
+    let t = ThreadId::checked(t).ok()?;
+    let (operand, rest) = match tag.operand() {
+        None => (0, rest),
+        Some(field) => {
+            let rest = rest
+                .strip_prefix(b",\"")?
+                .strip_prefix(field.as_bytes())?
+                .strip_prefix(b"\":")?;
+            let (v, rest) = leading_u64(rest)?;
+            let v = match tag {
+                Tag::Fork | Tag::Join => ThreadId::checked(v).ok()?.raw(),
+                _ => u32::try_from(v).ok()?,
+            };
+            (v, rest)
+        }
+    };
+    let rest = rest.strip_prefix(b"}}")?;
+    Some((tag.build(t, operand), b.len() - rest.len()))
+}
+
+/// The decimal number at the start of `b` and the bytes after it; `None`
+/// without a digit or when the value overflows a `u64`.
+fn leading_u64(b: &[u8]) -> Option<(u64, &[u8])> {
+    let digits = b.iter().take_while(|c| c.is_ascii_digit()).count();
+    if digits == 0 {
+        return None;
+    }
+    let mut v = 0u64;
+    for &c in &b[..digits] {
+        v = v.checked_mul(10)?.checked_add((c - b'0') as u64)?;
+    }
+    Some((v, &b[digits..]))
 }
 
 const MAX_DEPTH: u32 = 128;
@@ -807,7 +868,13 @@ impl<R: Read> JsonParser<R> {
         }
         loop {
             self.skip_ws()?;
-            let op = self.parse_op()?;
+            let op = match writer_shaped_op(self.s.window()) {
+                Some((op, len)) => {
+                    self.s.consume(len);
+                    op
+                }
+                None => self.parse_op()?,
+            };
             on_op(count, op);
             count += 1;
             self.skip_ws()?;
@@ -824,19 +891,12 @@ impl<R: Read> JsonParser<R> {
         self.expect(b'{', "an operation object")?;
         self.skip_ws()?;
         self.parse_string()?;
-        let tag = match self.scratch.as_slice() {
-            b"Read" => Tag::Read,
-            b"Write" => Tag::Write,
-            b"Acquire" => Tag::Acquire,
-            b"Release" => Tag::Release,
-            b"Begin" => Tag::Begin,
-            b"End" => Tag::End,
-            b"Fork" => Tag::Fork,
-            b"Join" => Tag::Join,
-            _ => {
-                let name = self.scratch_str().unwrap_or("<non-UTF-8>").to_owned();
-                return Err(self.fail(format!("unknown operation `{name}`")));
-            }
+        let Some(tag) = Tag::ALL
+            .into_iter()
+            .find(|tag| tag.name().as_bytes() == self.scratch)
+        else {
+            let name = self.scratch_str().unwrap_or("<non-UTF-8>").to_owned();
+            return Err(self.fail(format!("unknown operation `{name}`")));
         };
         self.skip_ws()?;
         self.expect(b':', "`:`")?;
@@ -1176,11 +1236,13 @@ mod tests {
         let trace = sample_trace();
         let json = trace.to_json();
         let mut count = 0usize;
-        let summary = scan_json_trace(json.as_bytes(), |i, op| {
-            assert_eq!(trace.get(i), Some(op));
-            count += 1;
-        })
-        .unwrap();
+        let summary = TraceSource::open(json.as_bytes())
+            .unwrap()
+            .stream(|i, op| {
+                assert_eq!(trace.get(i), Some(op));
+                count += 1;
+            })
+            .unwrap();
         assert_eq!(count, trace.len());
         assert_eq!(summary.ops, trace.len());
         assert_eq!(summary.names.lock(LockId::new(0)), "m");

@@ -215,7 +215,9 @@ impl<R: Read> VbtReader<R> {
                 format!("synthesized-index overflow: {count} entries exceed {MAX_TABLE_ENTRIES}"),
             ));
         }
-        let mut synthesized = Vec::with_capacity(count as usize);
+        // Grown per index read, never sized by the claimed count: each
+        // index is backed by at least one byte of input.
+        let mut synthesized = Vec::new();
         let mut prev = 0u64;
         for _ in 0..count {
             let delta = read_varint(&mut s)?;

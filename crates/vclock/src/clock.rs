@@ -1,6 +1,5 @@
 //! Vector clocks over thread identifiers.
 
-use std::collections::HashMap;
 use std::fmt;
 use velodrome_events::ThreadId;
 
@@ -74,16 +73,33 @@ impl VectorClock {
 /// then follows the number of threads present, not the largest id (a lone
 /// thread 65535 costs one entry, not 65,536). Warnings keep naming the
 /// original [`ThreadId`].
+///
+/// The analyses look a slot up once per operation, so the table is two
+/// loads deep: `slot + 1` per id (0 for an id not seen yet), in pages of
+/// 256 ids allocated on first use. A table over ids up to 65535 costs a
+/// 2 KiB directory plus 1 KiB per page in use.
 #[derive(Debug, Default, Clone)]
 pub struct ThreadSlots {
-    slots: HashMap<ThreadId, ThreadId>,
+    pages: Vec<Option<Box<[u32; PAGE]>>>,
+    len: u32,
 }
+
+/// Thread ids per page of a [`ThreadSlots`] table.
+const PAGE: usize = 256;
 
 impl ThreadSlots {
     /// The slot of thread `t`, assigned on first sight.
     pub fn slot(&mut self, t: ThreadId) -> ThreadId {
-        let next = ThreadId::new(self.slots.len() as u32);
-        *self.slots.entry(t).or_insert(next)
+        let (page, at) = (t.index() / PAGE, t.index() % PAGE);
+        if page >= self.pages.len() {
+            self.pages.resize(page + 1, None);
+        }
+        let entry = &mut self.pages[page].get_or_insert_with(|| Box::new([0; PAGE]))[at];
+        if *entry == 0 {
+            self.len += 1;
+            *entry = self.len;
+        }
+        ThreadId::new(*entry - 1)
     }
 }
 

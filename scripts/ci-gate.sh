@@ -105,6 +105,27 @@ cargo run --release -q -p velodrome-cli -- metrics-verify "$tmp/batch/metrics.js
     --require=batch.traces_checked,batch.traces_failed,batch.traces_quarantined,batch.events_total,batch.events_per_sec,batch.warnings_total,batch.jobs \
     >/dev/null
 
+echo "==> JSON fast path: a padded twin gets byte-identical verdicts"
+# The reader builds the writer's exact op shape straight from its buffer;
+# a space after each `,` and `:` breaks that shape, so the twin decodes
+# through the general path only. Both must give the same output.
+sed 's/,"/, "/g; s/:{/: {/g' "$tmp/batch/a.json" > "$tmp/a-padded.json"
+if cmp -s "$tmp/batch/a.json" "$tmp/a-padded.json"; then
+    echo "JSON fast path: the padded twin is identical to its original" >&2
+    exit 1
+fi
+for backend in velodrome all; do
+    cargo run --release -q -p velodrome-cli -- trace "$tmp/batch/a.json" \
+        --backend="$backend" > "$tmp/fast.out"
+    cargo run --release -q -p velodrome-cli -- trace "$tmp/a-padded.json" \
+        --backend="$backend" > "$tmp/general.out"
+    if ! cmp "$tmp/fast.out" "$tmp/general.out"; then
+        echo "JSON fast path: --backend=$backend output differs on the padded twin" >&2
+        diff "$tmp/fast.out" "$tmp/general.out" | head -20 >&2
+        exit 1
+    fi
+done
+
 echo "==> truncated VBT input exits with code 4 and fails its batch line"
 # Dropping the last byte removes the end-of-trace sentinel: the defect shows
 # only after every operation has streamed into the backend.
